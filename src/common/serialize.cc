@@ -349,6 +349,22 @@ Result<ContainerReader::SectionView> ContainerReader::Section(
                          std::string(name, 4) + "'");
 }
 
+Status ReadIndexFile(const std::string& path, const char format_magic[8],
+                     uint32_t max_format_version,
+                     const std::function<Status(const SectionSource&)>& load) {
+  VAQ_ASSIGN_OR_RETURN(const bool boxed, IsContainerFile(path));
+  if (!boxed) {
+    std::ifstream is(path, std::ios::binary);
+    if (!is) return Status::IoError("cannot open " + path);
+    VAQ_RETURN_IF_ERROR(CheckMagic(is, format_magic));
+    return load(SectionSource(is));
+  }
+  VAQ_ASSIGN_OR_RETURN(
+      ContainerReader reader,
+      ContainerReader::Open(path, format_magic, max_format_version));
+  return load(SectionSource(reader));
+}
+
 bool IsPermutation(const std::vector<size_t>& v) {
   std::vector<bool> seen(v.size(), false);
   for (size_t x : v) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <istream>
 #include <sstream>
 #include <streambuf>
@@ -184,6 +185,38 @@ class ContainerReader {
   std::vector<Entry> entries_;
   uint32_t format_version_ = 0;
 };
+
+/// Where an index loader reads its sections from: the verified sections
+/// of a container file, or, for a legacy v0 file, one stream holding the
+/// same payloads back to back in the container's section order. One
+/// loader thus serves both generations.
+class SectionSource {
+ public:
+  explicit SectionSource(const ContainerReader& reader) : reader_(&reader) {}
+  explicit SectionSource(std::istream& legacy) : legacy_(&legacy) {}
+
+  /// Runs `parse` (std::istream& -> Status) over section `tag`'s payload.
+  template <typename Parse>
+  Status Read(uint32_t tag, Parse&& parse) const {
+    if (legacy_ != nullptr) return parse(*legacy_);
+    Result<ContainerReader::SectionView> sec = reader_->Section(tag);
+    if (!sec.ok()) return sec.status();
+    ByteViewStream is(sec->data, sec->size);
+    return parse(is);
+  }
+
+ private:
+  const ContainerReader* reader_ = nullptr;
+  std::istream* legacy_ = nullptr;
+};
+
+/// Opens `path` as either generation of an index file and hands its
+/// sections to `load`: a container whose format magic and version are
+/// checked against `format_magic` and `max_format_version`, or a legacy
+/// file opening with `format_magic`.
+Status ReadIndexFile(const std::string& path, const char format_magic[8],
+                     uint32_t max_format_version,
+                     const std::function<Status(const SectionSource&)>& load);
 
 /// True if `v` is a permutation of [0, v.size()). Shared by the post-load
 /// invariant validators (index permutations, subspace orderings).

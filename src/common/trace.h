@@ -22,7 +22,7 @@ enum class QueryPhase : int {
   kLutBuild = 1,       ///< per-subspace distance LUT construction
   kPartitionRank = 2,  ///< rank TI partitions / coarse lists by lower bound
   kBlockScan = 3,      ///< blocked ADC scan over candidate codes
-  kTiPrune = 4,        ///< triangle-inequality partition pruning decisions
+  kTiPrune = 4,        ///< reserved: TI pruning is timed inside kBlockScan
   kRerank = 5,         ///< exact re-ranking of shortlisted candidates
 };
 

@@ -62,6 +62,8 @@ class VariableCodebooks {
 
   /// Start of subspace s's block inside a flat lookup table.
   size_t lut_offset(size_t s) const { return lut_offsets_[s]; }
+  /// All num_subspaces() block starts, in the width the scan kernels take.
+  const uint32_t* lut_offsets() const { return lut_offsets_.data(); }
 
   /// Fills `lut` (resized to lut_entries()) with squared distances from the
   /// query's subvectors to every dictionary item — the ADC table of
@@ -120,11 +122,14 @@ class VariableCodebooks {
   Status ValidateCodes(const CodeMatrix& codes) const;
 
  private:
+  /// Sets lut_offsets_/lut_entries_ from bits_.
+  void ComputeLutOffsets();
+
   bool trained_ = false;
   SubspaceLayout layout_;
   std::vector<int> bits_;
   std::vector<FloatMatrix> centroids_;
-  std::vector<size_t> lut_offsets_;
+  std::vector<uint32_t> lut_offsets_;
   size_t lut_entries_ = 0;
 };
 

@@ -205,35 +205,11 @@ void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
   }
 }
 
-Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
-                            TopKHeap* heap, std::vector<Neighbor>* out,
-                            SearchStats* stats, double wall_micros,
-                            double cpu_micros) {
-  const bool stopped = stop != nullptr && stop->stopped();
-  if (stats != nullptr) {
-    stats->truncated = stopped;
-    stats->wall_micros = wall_micros;
-    stats->cpu_micros = cpu_micros;
-    // A scan can never enter more partitions than it planned to visit
-    // (see SearchStats): drivers stamp the plan before the first block.
-    VAQ_CHECK(stats->partitions_visited <= stats->clusters_visited);
-  }
-  if (stopped && stop->cause() == StopCause::kCancelled) {
-    out->clear();
-    return Status::Cancelled("search cancelled by caller");
-  }
-  if (stopped && strict_deadline) {
-    out->clear();
-    return Status::DeadlineExceeded("search deadline expired before the "
-                                    "planned work completed");
-  }
-  heap->ExtractSorted(out);
-  for (Neighbor& nb : *out) {
-    nb.distance = std::sqrt(std::max(0.f, nb.distance));
-  }
-  return Status::OK();
-}
+namespace {
 
+/// Feeds one finished query into the global metrics registry; see
+/// FinalizeSearchResult. Deliberately outside the scan loops so the hot
+/// path is untouched.
 void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
                           const Status& status, const QueryTrace* trace) {
   // All metric pointers are resolved once per process; afterwards this
@@ -313,6 +289,41 @@ void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
               after.truncated ? 1 : 0, static_cast<int>(status.code()));
     }
   }
+}
+
+}  // namespace
+
+Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
+                            TopKHeap* heap, std::vector<Neighbor>* out,
+                            SearchStats* stats, const SearchStats& before,
+                            const QueryTrace* trace, double wall_micros,
+                            double cpu_micros) {
+  const bool stopped = stop != nullptr && stop->stopped();
+  // Without caller stats, the telemetry still needs the outcome fields.
+  SearchStats local;
+  SearchStats& after = stats != nullptr ? *stats : local;
+  after.truncated = stopped;
+  after.wall_micros = wall_micros;
+  after.cpu_micros = cpu_micros;
+  // A scan can never enter more partitions than it planned to visit (see
+  // SearchStats): drivers stamp the plan before the first block.
+  VAQ_CHECK(after.partitions_visited <= after.clusters_visited);
+  Status status;
+  if (stopped && stop->cause() == StopCause::kCancelled) {
+    out->clear();
+    status = Status::Cancelled("search cancelled by caller");
+  } else if (stopped && strict_deadline) {
+    out->clear();
+    status = Status::DeadlineExceeded("search deadline expired before the "
+                                      "planned work completed");
+  } else {
+    heap->ExtractSorted(out);
+    for (Neighbor& nb : *out) {
+      nb.distance = std::sqrt(std::max(0.f, nb.distance));
+    }
+  }
+  RecordQueryTelemetry(before, after, status, trace);
+  return status;
 }
 
 }  // namespace vaq

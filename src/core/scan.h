@@ -51,12 +51,10 @@ struct SearchStats {
 
 /// Which ADC scan implementation answers a query.
 enum class ScanKernelType {
-  kAuto,       ///< best blocked kernel the CPU supports (the default)
-  kScalar,     ///< blocked scalar kernel (always available)
-  kAvx2,       ///< blocked AVX2 gather kernel; falls back to kScalar when
-               ///< the binary or CPU lacks AVX2
-  kReference,  ///< original row-at-a-time scan, kept as the equivalence
-               ///< oracle for tests and benchmarks
+  kAuto,    ///< best blocked kernel the CPU supports (the default)
+  kScalar,  ///< blocked scalar kernel (always available)
+  kAvx2,    ///< blocked AVX2 gather kernel; falls back to kScalar when
+            ///< the binary or CPU lacks AVX2
 };
 
 /// Subspace-major, cache-blocked copy of an encoded dataset.
@@ -86,7 +84,10 @@ class BlockedCodes {
 
   size_t rows() const { return rows_; }
   size_t num_subspaces() const { return num_subspaces_; }
-  size_t num_blocks() const { return data_.empty() ? 0 : data_.size() / (num_subspaces_ * kScanBlockSize); }
+  size_t num_blocks() const {
+    return data_.empty() ? 0
+                         : data_.size() / (num_subspaces_ * kScanBlockSize);
+  }
   bool empty() const { return rows_ == 0; }
 
   /// Start of block `b`'s transposed codes (m * kScanBlockSize entries).
@@ -104,7 +105,7 @@ class BlockedCodes {
 /// i in [0, kScanBlockSize), the LUT entries of subspaces
 /// [s_begin, s_end) selected by the block's transposed codes:
 ///
-///   acc[i] += sum_{s in [s_begin, s_end)} lut[lut_offsets[s] + block[s*64 + i]]
+///   acc[i] += sum_{s in [s_begin, s_end)} lut[lut_offsets[s] + block[s*64+i]]
 ///
 /// with the per-lane additions performed in ascending subspace order, so
 /// every implementation produces bit-identical float sums.
@@ -117,8 +118,6 @@ struct ScanKernel {
 };
 
 /// Resolves a kernel choice against what this binary/CPU supports.
-/// kReference resolves to the scalar block kernel (the reference row-wise
-/// loop lives in the index drivers, not here).
 const ScanKernel& GetScanKernel(ScanKernelType type);
 
 /// True when the AVX2 kernel was compiled in and the CPU supports it.
@@ -180,20 +179,19 @@ void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
 /// kCancelled and clears `out`; an expired deadline fails with
 /// kDeadlineExceeded only when `strict_deadline` is set, and otherwise
 /// degrades gracefully: OK status, partial results, stats->truncated.
+///
+/// Finally feeds the query into the global metrics registry (DESIGN.md
+/// §10): outcome counters, latency histograms (wall + CPU), and scan-work
+/// counters computed as `*stats - before`, so callers that reuse a
+/// SearchStats across queries never double-count. `before` is the
+/// caller's `*stats` at query start (default-constructed without stats).
+/// Also emits the sampled slow-query log line (common/trace.h), with
+/// `trace` when it is enabled.
 Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
                             TopKHeap* heap, std::vector<Neighbor>* out,
-                            SearchStats* stats, double wall_micros,
-                            double cpu_micros = 0.0);
-
-/// Feeds one finished query into the global metrics registry
-/// (DESIGN.md §10): outcome counters, latency histograms (wall + CPU),
-/// and scan-work counters computed as `after - before` so callers that
-/// reuse a SearchStats across queries never double-count. Also emits the
-/// sampled slow-query log line (common/trace.h) when configured. Called
-/// once per query by the index drivers, after FinalizeSearchResult;
-/// deliberately outside the scan loops so the hot path is untouched.
-void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
-                          const Status& status, const QueryTrace* trace);
+                            SearchStats* stats, const SearchStats& before,
+                            const QueryTrace* trace, double wall_micros,
+                            double cpu_micros);
 
 }  // namespace vaq
 

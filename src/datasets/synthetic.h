@@ -42,10 +42,13 @@ size_t SyntheticKindDim(SyntheticKind kind);
 FloatMatrix GenerateSynthetic(SyntheticKind kind, size_t count,
                               uint64_t seed);
 
-/// Generates a query workload for the family. Queries are fresh samples
-/// from the same process with `noise` (fraction of the per-dimension
-/// standard deviation) of additive Gaussian noise — mirroring how the
-/// paper's SALD/SEISMIC/ASTRO queries were made progressively harder.
+/// Generates a query workload for the family: GenerateSynthetic(kind,
+/// count, seed ^ 0x9E3779B9) plus `noise` (fraction of the per-dimension
+/// RMS of the queries) of additive Gaussian noise. The derived seed draws
+/// a new mixture (its own centres and rotation), not fresh samples of the
+/// mixture behind a corpus made with another seed, so these queries need
+/// not lie near such a corpus. For queries from a corpus's own process,
+/// generate `n + count` rows and hold out the last `count`.
 FloatMatrix GenerateSyntheticQueries(SyntheticKind kind, size_t count,
                                      uint64_t seed, double noise = 0.1);
 

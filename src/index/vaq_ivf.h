@@ -16,10 +16,10 @@ struct VaqIvfOptions {
   VaqOptions vaq;
   /// Number of coarse k-means partitions (inverted lists).
   size_t coarse_k = 256;
-  /// Default number of lists probed per query.
+  /// Default number of lists probed per query (>= 1).
   size_t default_nprobe = 8;
-  /// ADC scan implementation for the in-list scans (shared with VaqIndex;
-  /// see ScanKernelType). All choices return identical results.
+  /// Blocked ADC kernel for the in-list scans (shared with VaqIndex; see
+  /// ScanKernelType). All choices return identical results.
   ScanKernelType scan_kernel = ScanKernelType::kAuto;
 };
 
@@ -37,9 +37,17 @@ class VaqIvfIndex {
                                    const VaqIvfOptions& options);
 
   size_t size() const { return codes_.rows(); }
-  size_t dim() const { return pca_.dim(); }
+  size_t dim() const { return encoder_.dim(); }
   size_t coarse_k() const { return coarse_.k(); }
-  const std::vector<int>& bits_per_subspace() const { return bits_; }
+  const std::vector<int>& bits_per_subspace() const {
+    return encoder_.bits();
+  }
+  const VaqEncoder& encoder() const { return encoder_; }
+  /// The encoded database, one row per vector.
+  const CodeMatrix& codes() const { return codes_; }
+  /// Coarse quantizer over the projected space; cell c holds lists()[c].
+  const KMeans& coarse() const { return coarse_; }
+  const std::vector<std::vector<uint32_t>>& lists() const { return lists_; }
 
   /// k-NN over the `nprobe` nearest lists (0 = the configured default;
   /// nprobe >= coarse_k degenerates to a full early-abandoned scan).
@@ -79,33 +87,27 @@ class VaqIvfIndex {
   /// ValidateInvariants() before any scan structure is built.
   static Result<VaqIvfIndex> Load(const std::string& path);
 
-  /// Semantic consistency: permutation, codebook/code agreement, coarse
-  /// centroid shape, and the inverted lists covering every row exactly
-  /// once.
+  /// Semantic consistency: the encoder's checks, codebook/code
+  /// agreement, a positive default nprobe, coarse centroid shape, and the
+  /// inverted lists covering every row exactly once.
   Status ValidateInvariants() const;
 
  private:
-  static Result<VaqIvfIndex> LoadLegacy(const std::string& path);
+  /// Reads every section of a container or legacy v0 file.
+  Status LoadSections(const SectionSource& source);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
-  void SavePcaSection(std::ostream& os) const;
-  Status LoadPcaSection(std::istream& is);
   void SaveListsSection(std::ostream& os) const;
   Status LoadListsSection(std::istream& is);
   /// (Re)builds the per-list blocked code layouts after Train/Load.
   void BuildScanStructures();
 
   VaqIvfOptions options_;
-  Pca pca_;
-  std::vector<size_t> permutation_;
-  SubspaceLayout layout_;
-  std::vector<int> bits_;
-  VariableCodebooks books_;
+  VaqEncoder encoder_;
   CodeMatrix codes_;
   KMeans coarse_;                            ///< over projected vectors
   std::vector<std::vector<uint32_t>> lists_; ///< ids per coarse cell
   std::vector<BlockedCodes> list_blocked_;   ///< scan views of lists_
-  std::vector<uint32_t> lut_offsets32_;
 };
 
 }  // namespace vaq

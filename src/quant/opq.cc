@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <fstream>
 
 #include "common/io.h"
 #include "common/macros.h"
@@ -300,55 +299,27 @@ Status OptimizedProductQuantizer::Save(const std::string& path) const {
   return writer.Commit(path);
 }
 
-Result<OptimizedProductQuantizer> OptimizedProductQuantizer::Load(
-    const std::string& path) {
-  VAQ_ASSIGN_OR_RETURN(const bool boxed, IsContainerFile(path));
-  if (!boxed) return LoadLegacy(path);
-  VAQ_ASSIGN_OR_RETURN(
-      ContainerReader reader,
-      ContainerReader::Open(path, kOpqMagic, kOpqFormatVersion));
-  OptimizedProductQuantizer opq;
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecOptions));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(opq.LoadOptionsSection(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecRotation));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(opq.LoadRotationSection(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecBooks));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(opq.books_.Load(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCodes));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &opq.codes_));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecStats));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(opq.LoadStatsSection(is));
-  }
-  VAQ_RETURN_IF_ERROR(opq.ValidateInvariants());
-  return opq;
+Status OptimizedProductQuantizer::LoadSections(const SectionSource& source) {
+  VAQ_RETURN_IF_ERROR(source.Read(
+      kSecOptions, [&](std::istream& is) { return LoadOptionsSection(is); }));
+  VAQ_RETURN_IF_ERROR(source.Read(kSecRotation, [&](std::istream& is) {
+    return LoadRotationSection(is);
+  }));
+  VAQ_RETURN_IF_ERROR(source.Read(
+      kSecBooks, [&](std::istream& is) { return books_.Load(is); }));
+  VAQ_RETURN_IF_ERROR(source.Read(
+      kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes_); }));
+  VAQ_RETURN_IF_ERROR(source.Read(
+      kSecStats, [&](std::istream& is) { return LoadStatsSection(is); }));
+  return ValidateInvariants();
 }
 
-Result<OptimizedProductQuantizer> OptimizedProductQuantizer::LoadLegacy(
+Result<OptimizedProductQuantizer> OptimizedProductQuantizer::Load(
     const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open " + path);
-  VAQ_RETURN_IF_ERROR(CheckMagic(is, kOpqMagic));
   OptimizedProductQuantizer opq;
-  VAQ_RETURN_IF_ERROR(opq.LoadOptionsSection(is));
-  VAQ_RETURN_IF_ERROR(opq.LoadRotationSection(is));
-  VAQ_RETURN_IF_ERROR(opq.books_.Load(is));
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &opq.codes_));
-  VAQ_RETURN_IF_ERROR(opq.LoadStatsSection(is));
-  VAQ_RETURN_IF_ERROR(opq.ValidateInvariants());
+  VAQ_RETURN_IF_ERROR(ReadIndexFile(
+      path, kOpqMagic, kOpqFormatVersion,
+      [&](const SectionSource& source) { return opq.LoadSections(source); }));
   return opq;
 }
 

@@ -9,6 +9,8 @@
 
 namespace vaq {
 
+class SectionSource;
+
 struct OpqOptions {
   size_t num_subspaces = 8;
   size_t bits_per_subspace = 8;
@@ -75,8 +77,8 @@ class OptimizedProductQuantizer : public Quantizer {
 
  private:
   void RotateRow(const float* x, float* out) const;
-  static Result<OptimizedProductQuantizer> LoadLegacy(
-      const std::string& path);
+  /// Reads every section of a container or legacy v0 file.
+  Status LoadSections(const SectionSource& source);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
   void SaveRotationSection(std::ostream& os) const;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include <fstream>
 
 #include "common/io.h"
 #include "common/macros.h"
@@ -173,48 +172,23 @@ Status ProductQuantizer::Save(const std::string& path) const {
   return writer.Commit(path);
 }
 
-Result<ProductQuantizer> ProductQuantizer::Load(const std::string& path) {
-  VAQ_ASSIGN_OR_RETURN(const bool boxed, IsContainerFile(path));
-  if (!boxed) return LoadLegacy(path);
-  VAQ_ASSIGN_OR_RETURN(
-      ContainerReader reader,
-      ContainerReader::Open(path, kPqMagic, kPqFormatVersion));
-  ProductQuantizer pq;
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecOptions));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(pq.LoadOptionsSection(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecBooks));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(pq.books_.Load(is));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecCodes));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(ReadMatrix(is, &pq.codes_));
-  }
-  {
-    VAQ_ASSIGN_OR_RETURN(auto sec, reader.Section(kSecStats));
-    ByteViewStream is(sec.data, sec.size);
-    VAQ_RETURN_IF_ERROR(pq.LoadStatsSection(is));
-  }
-  VAQ_RETURN_IF_ERROR(pq.ValidateInvariants());
-  return pq;
+Status ProductQuantizer::LoadSections(const SectionSource& source) {
+  VAQ_RETURN_IF_ERROR(source.Read(
+      kSecOptions, [&](std::istream& is) { return LoadOptionsSection(is); }));
+  VAQ_RETURN_IF_ERROR(source.Read(
+      kSecBooks, [&](std::istream& is) { return books_.Load(is); }));
+  VAQ_RETURN_IF_ERROR(source.Read(
+      kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes_); }));
+  VAQ_RETURN_IF_ERROR(source.Read(
+      kSecStats, [&](std::istream& is) { return LoadStatsSection(is); }));
+  return ValidateInvariants();
 }
 
-Result<ProductQuantizer> ProductQuantizer::LoadLegacy(
-    const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open " + path);
-  VAQ_RETURN_IF_ERROR(CheckMagic(is, kPqMagic));
+Result<ProductQuantizer> ProductQuantizer::Load(const std::string& path) {
   ProductQuantizer pq;
-  VAQ_RETURN_IF_ERROR(pq.LoadOptionsSection(is));
-  VAQ_RETURN_IF_ERROR(pq.books_.Load(is));
-  VAQ_RETURN_IF_ERROR(ReadMatrix(is, &pq.codes_));
-  VAQ_RETURN_IF_ERROR(pq.LoadStatsSection(is));
-  VAQ_RETURN_IF_ERROR(pq.ValidateInvariants());
+  VAQ_RETURN_IF_ERROR(ReadIndexFile(
+      path, kPqMagic, kPqFormatVersion,
+      [&](const SectionSource& source) { return pq.LoadSections(source); }));
   return pq;
 }
 

@@ -9,6 +9,8 @@
 
 namespace vaq {
 
+class SectionSource;
+
 struct PqOptions {
   /// Number of subspaces m; dimensions are split uniformly.
   size_t num_subspaces = 8;
@@ -81,7 +83,8 @@ class ProductQuantizer : public Quantizer {
   Status ValidateInvariants() const;
 
  private:
-  static Result<ProductQuantizer> LoadLegacy(const std::string& path);
+  /// Reads every section of a container or legacy v0 file.
+  Status LoadSections(const SectionSource& source);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
   void SaveStatsSection(std::ostream& os) const;

@@ -21,6 +21,7 @@
 #include "common/trace.h"
 #include "core/vaq_index.h"
 #include "index/vaq_ivf.h"
+#include "reference_oracle.h"
 
 namespace vaq {
 namespace {
@@ -172,6 +173,14 @@ class SearchDeadlineTest : public VirtualClockTest {
     base_ = nullptr;
   }
 
+  /// The production Search, or the row-at-a-time oracle when `oracle`.
+  static Status Search(bool oracle, const float* query,
+                       const SearchParams& params, std::vector<Neighbor>* out,
+                       SearchStats* stats) {
+    return oracle ? ReferenceSearch(*index_, query, params, out, stats)
+                  : index_->Search(query, params, out, stats);
+  }
+
   static const FloatMatrix* base_;
   static const VaqIndex* index_;
 };
@@ -182,16 +191,14 @@ const VaqIndex* SearchDeadlineTest::index_ = nullptr;
 TEST_F(SearchDeadlineTest, ZeroBudgetReturnsImmediatelyTruncated) {
   for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
                           SearchMode::kTriangleInequality}) {
-    for (ScanKernelType kernel :
-         {ScanKernelType::kAuto, ScanKernelType::kReference}) {
+    for (bool oracle : {false, true}) {
       SearchParams params;
       params.k = 10;
       params.mode = mode;
-      params.kernel = kernel;
       params.deadline = Deadline::Expired();
       std::vector<Neighbor> result(1);  // must be cleared/refilled
       SearchStats stats;
-      ASSERT_TRUE(index_->Search(base_->row(0), params, &result, &stats).ok());
+      ASSERT_TRUE(Search(oracle, base_->row(0), params, &result, &stats).ok());
       EXPECT_TRUE(stats.truncated);
       EXPECT_EQ(stats.rows_scanned, 0u);   // stopped at the first check
       EXPECT_TRUE(result.empty());         // best-so-far of zero work
@@ -206,23 +213,19 @@ TEST_F(SearchDeadlineTest, MidScanExpiryReturnsExactPrefixTopK) {
   SearchParams full;
   full.k = base_->rows();
   full.mode = SearchMode::kHeap;
-  full.kernel = ScanKernelType::kReference;
   std::vector<Neighbor> ranking;
-  ASSERT_TRUE(index_->Search(base_->row(3), full, &ranking).ok());
+  ASSERT_TRUE(ReferenceSearch(*index_, base_->row(3), full, &ranking).ok());
   ASSERT_EQ(ranking.size(), base_->rows());
 
-  for (ScanKernelType kernel :
-       {ScanKernelType::kAuto, ScanKernelType::kReference}) {
+  for (bool oracle : {false, true}) {
     SearchParams params;
     params.k = 10;
     params.mode = SearchMode::kHeap;
-    params.kernel = kernel;
     // Let exactly 5 block checks pass: the scan stops at row 5 * 64.
     params.deadline = BudgetOfChecks(5);
     std::vector<Neighbor> partial;
     SearchStats stats;
-    ASSERT_TRUE(
-        index_->Search(base_->row(3), params, &partial, &stats).ok());
+    ASSERT_TRUE(Search(oracle, base_->row(3), params, &partial, &stats).ok());
     EXPECT_TRUE(stats.truncated);
     ASSERT_EQ(stats.rows_scanned, 5u * kScanBlockSize);
 

@@ -358,13 +358,11 @@ TEST_F(CorruptionSweepTest, ValidationRejectsChecksumCleanOutOfRangeCodes) {
   std::remove(path.c_str());
 }
 
-TEST_F(CorruptionSweepTest, ValidationRejectsChecksumCleanBrokenLists) {
-  // Same idea for the IVF lists: duplicate the first id inside the LIST
-  // section so the lists are no longer a partition of the rows, reseal
-  // the checksums, and require the validator to refuse it.
-  const std::string path = "/tmp/vaq_sweep_ivf_semantic.bin";
-  ASSERT_TRUE(ivf_->Save(path).ok());
-
+/// Rewrites the saved IVF container at `path` with `edit` applied to the
+/// payload of section `target`, resealing every checksum, so only
+/// semantic validation can reject the result.
+void ResealIvfSection(const std::string& path, uint32_t target,
+                      const std::function<void(std::string*)>& edit) {
   const char magic[8] = {'V', 'A', 'Q', 'I', 'V', 'F', '0', '1'};
   auto reader = ContainerReader::Open(path, magic, 1);
   ASSERT_TRUE(reader.ok());
@@ -376,29 +374,56 @@ TEST_F(CorruptionSweepTest, ValidationRejectsChecksumCleanBrokenLists) {
     auto sec = reader->Section(tag);
     ASSERT_TRUE(sec.ok());
     std::string body(sec->data, sec->size);
-    if (tag == SectionTag('L', 'I', 'S', 'T')) {
-      // Layout: u64 list count, then per list u64 length + u32 ids.
-      // Overwrite the second id of the first non-trivial list with the
-      // first, creating a duplicate.
-      size_t off = 8;
-      ASSERT_GE(body.size(), off + 8);
-      uint64_t len = 0;
-      std::memcpy(&len, body.data() + off, 8);
-      while (len < 2 && off + 8 + len * 4 + 8 <= body.size()) {
-        off += 8 + len * 4;
-        std::memcpy(&len, body.data() + off, 8);
-      }
-      ASSERT_GE(len, 2u) << "fixture produced no list with two ids";
-      std::memcpy(body.data() + off + 8 + 4, body.data() + off + 8, 4);
-    }
+    if (tag == target) edit(&body);
     writer.AddSection(tag).write(body.data(),
                                  static_cast<std::streamsize>(body.size()));
   }
   ASSERT_TRUE(writer.Commit(path).ok());
+}
+
+TEST_F(CorruptionSweepTest, ValidationRejectsChecksumCleanBrokenLists) {
+  // Same idea for the IVF lists: duplicate the first id inside the LIST
+  // section so the lists are no longer a partition of the rows, reseal
+  // the checksums, and require the validator to refuse it.
+  const std::string path = "/tmp/vaq_sweep_ivf_semantic.bin";
+  ASSERT_TRUE(ivf_->Save(path).ok());
+  ResealIvfSection(path, SectionTag('L', 'I', 'S', 'T'), [](std::string* body) {
+    // Layout: u64 list count, then per list u64 length + u32 ids.
+    // Overwrite the second id of the first non-trivial list with the
+    // first, creating a duplicate.
+    size_t off = 8;
+    ASSERT_GE(body->size(), off + 8);
+    uint64_t len = 0;
+    std::memcpy(&len, body->data() + off, 8);
+    while (len < 2 && off + 8 + len * 4 + 8 <= body->size()) {
+      off += 8 + len * 4;
+      std::memcpy(&len, body->data() + off, 8);
+    }
+    ASSERT_GE(len, 2u) << "fixture produced no list with two ids";
+    std::memcpy(body->data() + off + 8 + 4, body->data() + off + 8, 4);
+  });
 
   auto loaded = VaqIvfIndex::Load(path);
   ASSERT_FALSE(loaded.ok())
       << "non-partition inverted lists survived a checksum-clean load";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
+  std::remove(path.c_str());
+}
+
+TEST_F(CorruptionSweepTest, ValidationRejectsChecksumCleanZeroNprobe) {
+  // default_nprobe = 0 would make every default query probe no list and
+  // return nothing; a file carrying it must not load.
+  const std::string path = "/tmp/vaq_sweep_ivf_nprobe.bin";
+  ASSERT_TRUE(ivf_->Save(path).ok());
+  ResealIvfSection(path, SectionTag('O', 'P', 'T', 'S'), [](std::string* body) {
+    // Layout: u64 coarse_k, then u64 default_nprobe.
+    ASSERT_EQ(body->size(), 16u);
+    std::memset(body->data() + 8, 0, 8);
+  });
+
+  auto loaded = VaqIvfIndex::Load(path);
+  ASSERT_FALSE(loaded.ok()) << "default_nprobe 0 survived a checksum-clean "
+                               "load";
   EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
   std::remove(path.c_str());
 }

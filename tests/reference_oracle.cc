@@ -1,0 +1,240 @@
+#include "reference_oracle.h"
+
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+
+#include "common/deadline.h"
+#include "common/matrix.h"
+
+namespace vaq {
+namespace {
+
+/// Early abandoning distance accumulation (Algorithm 4 lines 38-41).
+/// Accumulates lookup-table entries subspace by subspace, checking the
+/// best-so-far threshold every `interval` subspaces (the paper checks
+/// every four to amortize the branch). Returns the partial sum; the caller
+/// pushes only if it stayed below the threshold, so an abandoned
+/// accumulation is never mistaken for a full distance.
+float EarlyAbandonAdc(const VariableCodebooks& books, const uint16_t* code,
+                      const float* lut, float threshold_sq, size_t s_limit,
+                      size_t interval, SearchStats* stats) {
+  float acc = 0.f;
+  size_t s = 0;
+  while (s < s_limit) {
+    const size_t stop = std::min(s + interval, s_limit);
+    for (; s < stop; ++s) {
+      acc += lut[books.lut_offset(s) + code[s]];
+    }
+    if (acc >= threshold_sq) break;
+  }
+  if (stats != nullptr) {
+    stats->lut_adds += s;
+    if (s == s_limit) ++stats->rows_scanned;
+  }
+  return acc;
+}
+
+/// Projects `query` and builds its lookup table with `encoder`.
+std::vector<float> QueryLut(const VaqEncoder& encoder, const float* query,
+                            std::vector<float>* projected) {
+  std::vector<float> pca_space;
+  encoder.ProjectQuery(query, &pca_space, projected);
+  std::vector<float> lut;
+  encoder.codebooks().BuildLookupTable(projected->data(), &lut);
+  return lut;
+}
+
+/// Fills `heap` by the row-at-a-time scan of `index` in `params.mode`.
+void ScanRows(const VaqIndex& index, const float* projected,
+              const std::vector<float>& lut, const SearchParams& params,
+              TopKHeap* heap, SearchStats* stats, StopController* stop) {
+  const VariableCodebooks& books = index.codebooks();
+  const CodeMatrix& codes = index.codes();
+  const size_t m = index.num_subspaces();
+  const size_t s_limit = params.num_subspaces_used == 0
+                             ? m
+                             : std::min(params.num_subspaces_used, m);
+  SearchMode mode = params.mode;
+  if (mode == SearchMode::kTriangleInequality && s_limit != m) {
+    mode = SearchMode::kEarlyAbandon;  // TI caches assume full distances
+  }
+  const size_t interval = std::max<size_t>(1, params.ea_check_interval);
+  const size_t n = codes.rows();
+
+  if (mode == SearchMode::kHeap) {
+    for (size_t r = 0; r < n; ++r) {
+      // Same check granularity as the blocked kernels: every 64 rows.
+      if (stop != nullptr && r % kScanBlockSize == 0 && stop->ShouldStop()) {
+        return;
+      }
+      const uint16_t* code = codes.row(r);
+      float acc = 0.f;
+      for (size_t s = 0; s < s_limit; ++s) {
+        acc += lut[books.lut_offset(s) + code[s]];
+      }
+      heap->Push(acc, static_cast<int64_t>(r));
+      if (stats != nullptr) {
+        ++stats->codes_visited;
+        stats->lut_adds += s_limit;
+        ++stats->rows_scanned;
+      }
+    }
+    return;
+  }
+
+  if (mode == SearchMode::kEarlyAbandon) {
+    for (size_t r = 0; r < n; ++r) {
+      if (stop != nullptr && r % kScanBlockSize == 0 && stop->ShouldStop()) {
+        return;
+      }
+      const float threshold = heap->Threshold();
+      const float acc = EarlyAbandonAdc(books, codes.row(r), lut.data(),
+                                        threshold, s_limit, interval, stats);
+      if (acc < threshold) heap->Push(acc, static_cast<int64_t>(r));
+      if (stats != nullptr) ++stats->codes_visited;
+    }
+    return;
+  }
+
+  // Triangle inequality cascade (Algorithm 4).
+  const TiPartition& ti = index.ti_partition();
+  std::vector<float> query_to_cluster;
+  ti.QueryDistances(projected, &query_to_cluster);
+  std::vector<size_t> order(ti.num_clusters());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return query_to_cluster[a] < query_to_cluster[b];
+  });
+  const size_t visit = std::clamp<size_t>(
+      static_cast<size_t>(std::ceil(params.visit_fraction *
+                                    static_cast<double>(order.size()))),
+      1, order.size());
+  if (stats != nullptr) {
+    stats->clusters_total = order.size();
+    stats->clusters_visited = visit;
+    stats->partitions_total = order.size();
+    stats->partitions_visited = 0;  // plan stamped; nothing entered yet
+  }
+
+  for (size_t v = 0; v < visit; ++v) {
+    if (stop != nullptr && stop->ShouldStop()) return;
+    if (stats != nullptr) ++stats->partitions_visited;
+    const size_t c = order[v];
+    const TiPartition::Cluster& cluster = ti.cluster(c);
+    if (cluster.ids.empty()) continue;
+    const float dq = query_to_cluster[c];
+
+    // Members that can beat the best-so-far satisfy
+    // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
+    // The cached distances are sorted, so locate the window once and keep
+    // tightening its upper end as the threshold improves.
+    size_t begin = 0;
+    size_t end = cluster.ids.size();
+    if (heap->full()) {
+      const float r = std::sqrt(heap->Threshold());
+      begin = std::lower_bound(cluster.distances.begin(),
+                               cluster.distances.end(), dq - r) -
+              cluster.distances.begin();
+      end = std::upper_bound(cluster.distances.begin(),
+                             cluster.distances.end(), dq + r) -
+            cluster.distances.begin();
+      if (stats != nullptr) {
+        stats->codes_skipped_ti += cluster.ids.size() - (end - begin);
+      }
+    }
+    for (size_t i = begin; i < end; ++i) {
+      if (stop != nullptr && (i - begin) % kScanBlockSize == 0 &&
+          i != begin && stop->ShouldStop()) {
+        return;
+      }
+      const float threshold = heap->Threshold();
+      if (heap->full()) {
+        const float r = std::sqrt(threshold);
+        const float dx = cluster.distances[i];
+        if (dx >= dq + r) {
+          // Sorted ascending: every later member is also out of range.
+          if (stats != nullptr) stats->codes_skipped_ti += end - i;
+          break;
+        }
+        if (dx <= dq - r) {
+          if (stats != nullptr) ++stats->codes_skipped_ti;
+          continue;
+        }
+      }
+      const uint32_t id = cluster.ids[i];
+      const float acc = EarlyAbandonAdc(books, codes.row(id), lut.data(),
+                                        threshold, m, interval, stats);
+      if (acc < threshold) heap->Push(acc, static_cast<int64_t>(id));
+      if (stats != nullptr) ++stats->codes_visited;
+    }
+  }
+}
+
+}  // namespace
+
+Status ReferenceSearch(const VaqIndex& index, const float* query,
+                       const SearchParams& params, std::vector<Neighbor>* out,
+                       SearchStats* stats) {
+  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
+  StopController stop(params.deadline, params.cancel_token);
+  StopController* stop_ptr = stop.armed() ? &stop : nullptr;
+  std::vector<float> projected;
+  const std::vector<float> lut = QueryLut(index.encoder(), query, &projected);
+  TopKHeap heap(params.k);
+  ScanRows(index, projected.data(), lut, params, &heap, stats, stop_ptr);
+  return FinalizeSearchResult(stop_ptr, params.strict_deadline, &heap, out,
+                              stats, before, /*trace=*/nullptr,
+                              /*wall_micros=*/0.0, /*cpu_micros=*/0.0);
+}
+
+Status ReferenceIvfSearch(const VaqIvfIndex& index, const float* query,
+                          size_t k, size_t nprobe, std::vector<Neighbor>* out,
+                          SearchStats* stats) {
+  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
+  std::vector<float> projected;
+  const std::vector<float> lut = QueryLut(index.encoder(), query, &projected);
+  const VariableCodebooks& books = index.encoder().codebooks();
+  const FloatMatrix& centroids = index.coarse().centroids();
+  const size_t cells = centroids.rows();
+  nprobe = std::min(nprobe, cells);
+
+  // Rank the coarse cells by query distance, ties by cell id.
+  std::vector<float> cell_dist(cells);
+  for (size_t c = 0; c < cells; ++c) {
+    cell_dist[c] = SquaredL2(projected.data(), centroids.row(c), index.dim());
+  }
+  std::vector<size_t> order(cells);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::partial_sort(order.begin(), order.begin() + nprobe, order.end(),
+                    [&](size_t a, size_t b) {
+                      if (cell_dist[a] != cell_dist[b]) {
+                        return cell_dist[a] < cell_dist[b];
+                      }
+                      return a < b;
+                    });
+  if (stats != nullptr) {
+    stats->clusters_total = cells;
+    stats->clusters_visited = nprobe;
+    stats->partitions_total = cells;
+    stats->partitions_visited = 0;
+  }
+
+  TopKHeap heap(k);
+  for (size_t v = 0; v < nprobe; ++v) {
+    if (stats != nullptr) ++stats->partitions_visited;
+    for (uint32_t id : index.lists()[order[v]]) {
+      const float threshold = heap.Threshold();
+      const float acc =
+          EarlyAbandonAdc(books, index.codes().row(id), lut.data(), threshold,
+                          books.num_subspaces(), /*interval=*/4, stats);
+      if (acc < threshold) heap.Push(acc, static_cast<int64_t>(id));
+      if (stats != nullptr) ++stats->codes_visited;
+    }
+  }
+  return FinalizeSearchResult(/*stop=*/nullptr, /*strict_deadline=*/false,
+                              &heap, out, stats, before, /*trace=*/nullptr,
+                              /*wall_micros=*/0.0, /*cpu_micros=*/0.0);
+}
+
+}  // namespace vaq

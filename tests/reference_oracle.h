@@ -1,0 +1,38 @@
+// Row-at-a-time reference searches: the scan loops the blocked kernels
+// replaced, kept as the correctness oracle for both index drivers. Every
+// row accumulates its subspaces in ascending order, exactly like the
+// blocked kernels, so the production Search must match these bit for bit
+// (neighbors and distances). Test-only: no production path runs them.
+
+#ifndef VAQ_TESTS_REFERENCE_ORACLE_H_
+#define VAQ_TESTS_REFERENCE_ORACLE_H_
+
+#include <cstddef>
+#include <vector>
+
+#include "common/status.h"
+#include "common/topk.h"
+#include "core/scan.h"
+#include "core/vaq_index.h"
+#include "index/vaq_ivf.h"
+
+namespace vaq {
+
+/// Row-at-a-time VaqIndex::Search. Honors every SearchParams field except
+/// `kernel` and `trace`; the deadline and cancellation are checked every
+/// 64 rows and between TI clusters, the production granularity. Work
+/// counters are row-granular, so they may differ from the blocked scan's.
+Status ReferenceSearch(const VaqIndex& index, const float* query,
+                       const SearchParams& params, std::vector<Neighbor>* out,
+                       SearchStats* stats = nullptr);
+
+/// Row-at-a-time VaqIvfIndex::Search over the `nprobe` nearest cells
+/// (nprobe >= 1), with early abandoning checked every four subspaces.
+/// Runs without a deadline.
+Status ReferenceIvfSearch(const VaqIvfIndex& index, const float* query,
+                          size_t k, size_t nprobe, std::vector<Neighbor>* out,
+                          SearchStats* stats = nullptr);
+
+}  // namespace vaq
+
+#endif  // VAQ_TESTS_REFERENCE_ORACLE_H_

@@ -22,6 +22,7 @@
 #include "core/vaq_index.h"
 #include "datasets/synthetic.h"
 #include "index/vaq_ivf.h"
+#include "reference_oracle.h"
 
 // Global allocation counter used by the scratch-reuse test. Counting in
 // operator new (instead of hooking malloc) keeps the test portable; the
@@ -229,14 +230,12 @@ class ScanSearchEquivalenceTest : public ::testing::Test {
     index_ = std::move(*index);
   }
 
-  void ExpectSameResults(const SearchParams& reference_params,
-                         const SearchParams& candidate_params) {
+  /// Every query must return the oracle's neighbors and distances.
+  void ExpectMatchesOracle(const SearchParams& params) {
     for (size_t q = 0; q < queries_.rows(); ++q) {
       std::vector<Neighbor> want, got;
-      ASSERT_TRUE(
-          index_.Search(queries_.row(q), reference_params, &want).ok());
-      ASSERT_TRUE(
-          index_.Search(queries_.row(q), candidate_params, &got).ok());
+      ASSERT_TRUE(ReferenceSearch(index_, queries_.row(q), params, &want).ok());
+      ASSERT_TRUE(index_.Search(queries_.row(q), params, &got).ok());
       ASSERT_EQ(want.size(), got.size());
       for (size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(want[i].id, got[i].id) << "q=" << q << " i=" << i;
@@ -254,17 +253,15 @@ TEST_F(ScanSearchEquivalenceTest, AllKernelsMatchReferenceInAllModes) {
   for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
                           SearchMode::kTriangleInequality}) {
     for (double visit : {0.25, 1.0}) {
-      SearchParams reference;
-      reference.k = 15;
-      reference.mode = mode;
-      reference.visit_fraction = visit;
-      reference.kernel = ScanKernelType::kReference;
       for (ScanKernelType type :
            {ScanKernelType::kScalar, ScanKernelType::kAvx2,
             ScanKernelType::kAuto}) {
-        SearchParams candidate = reference;
-        candidate.kernel = type;
-        ExpectSameResults(reference, candidate);
+        SearchParams params;
+        params.k = 15;
+        params.mode = mode;
+        params.visit_fraction = visit;
+        params.kernel = type;
+        ExpectMatchesOracle(params);
       }
     }
   }
@@ -275,14 +272,11 @@ TEST_F(ScanSearchEquivalenceTest, SubspacePrefixesMatchReference) {
     for (SearchMode mode :
          {SearchMode::kHeap, SearchMode::kEarlyAbandon,
           SearchMode::kTriangleInequality /* falls back to EA */}) {
-      SearchParams reference;
-      reference.k = 10;
-      reference.mode = mode;
-      reference.num_subspaces_used = used;
-      reference.kernel = ScanKernelType::kReference;
-      SearchParams candidate = reference;
-      candidate.kernel = ScanKernelType::kAuto;
-      ExpectSameResults(reference, candidate);
+      SearchParams params;
+      params.k = 10;
+      params.mode = mode;
+      params.num_subspaces_used = used;
+      ExpectMatchesOracle(params);
     }
   }
 }
@@ -348,13 +342,10 @@ TEST_F(ScanSearchEquivalenceTest, AddRebuildsBlockedLayout) {
   const FloatMatrix extra = GenerateSpectrumMixture(
       100, 32, PowerLawSpectrum(32, 1.2), 8, 1.0, 555);
   ASSERT_TRUE(index_.Add(extra).ok());
-  SearchParams reference;
-  reference.k = 10;
-  reference.mode = SearchMode::kHeap;
-  reference.kernel = ScanKernelType::kReference;
-  SearchParams candidate = reference;
-  candidate.kernel = ScanKernelType::kAuto;
-  ExpectSameResults(reference, candidate);
+  SearchParams params;
+  params.k = 10;
+  params.mode = SearchMode::kHeap;
+  ExpectMatchesOracle(params);
 }
 
 // ---------------------------------------------------------------------------
@@ -372,17 +363,16 @@ TEST(VaqIvfScanTest, BlockedKernelsMatchReferenceScan) {
   opts.vaq.kmeans_iters = 8;
   opts.coarse_k = 16;
   opts.default_nprobe = 16;  // all lists: results must be exhaustive-exact
-  opts.scan_kernel = ScanKernelType::kReference;
-  auto reference = VaqIvfIndex::Train(data, opts);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (ScanKernelType type : {ScanKernelType::kScalar, ScanKernelType::kAuto}) {
     opts.scan_kernel = type;
-    auto candidate = VaqIvfIndex::Train(data, opts);
-    ASSERT_TRUE(candidate.ok());
+    auto index = VaqIvfIndex::Train(data, opts);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
     for (size_t q = 0; q < queries.rows(); ++q) {
       std::vector<Neighbor> want, got;
-      ASSERT_TRUE(reference->Search(queries.row(q), 10, 0, &want).ok());
-      ASSERT_TRUE(candidate->Search(queries.row(q), 10, 0, &got).ok());
+      ASSERT_TRUE(ReferenceIvfSearch(*index, queries.row(q), 10,
+                                     opts.default_nprobe, &want)
+                      .ok());
+      ASSERT_TRUE(index->Search(queries.row(q), 10, 0, &got).ok());
       ASSERT_EQ(want.size(), got.size());
       for (size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(want[i].id, got[i].id) << "q=" << q << " i=" << i;

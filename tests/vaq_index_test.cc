@@ -228,7 +228,7 @@ TEST(VaqIndexConfigTest, ClusteredSubspacesMode) {
   // Non-uniform widths must still cover all dimensions.
   size_t total = 0;
   for (size_t s = 0; s < index->num_subspaces(); ++s) {
-    total += index->layout().span(s).length;
+    total += index->encoder().layout().span(s).length;
   }
   EXPECT_EQ(total, 16u);
 }
@@ -243,7 +243,7 @@ TEST(VaqIndexConfigTest, BalancingCanBeDisabled) {
   opts.kmeans_iters = 8;
   auto index = VaqIndex::Train(data, opts);
   ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index->balance_swaps(), 0u);
+  EXPECT_EQ(index->encoder().balance_swaps(), 0u);
 }
 
 TEST(VaqIndexConfigTest, RejectsInvalidOptions) {

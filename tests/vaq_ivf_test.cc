@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datasets/synthetic.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
@@ -93,6 +95,10 @@ TEST_F(VaqIvfTest, RejectsBadInputs) {
   VaqIvfOptions opts;
   opts.coarse_k = 0;
   EXPECT_FALSE(VaqIvfIndex::Train(base_, opts).ok());
+  opts = VaqIvfOptions{};
+  opts.default_nprobe = 0;  // a default query would probe no list
+  EXPECT_EQ(VaqIvfIndex::Train(base_, opts).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(VaqIvfIndex::Train(FloatMatrix(1, 32), VaqIvfOptions{}).ok());
 }
 
@@ -107,6 +113,45 @@ TEST_F(VaqIvfTest, EveryVectorLandsInSomeList) {
     // distance cannot exceed the query's own reconstruction distance by
     // much; just require a sane, small value.
     EXPECT_LT(result[0].distance, 1e3f);
+  }
+}
+
+/// Both indexes encode through one VaqEncoder: with the same VaqOptions on
+/// the same data they must agree on bits, permutation and every code. The
+/// 300-vector SALD-like case needs the log2(n) dictionary cap (8 bits).
+TEST(VaqIvfEncoderTest, MatchesVaqIndexEncoding) {
+  struct Case {
+    FloatMatrix data;
+    size_t num_subspaces;
+    size_t total_bits;
+  };
+  const Case cases[] = {
+      {GenerateSynthetic(SyntheticKind::kSaldLike, 300, 5), 16, 128},
+      {GenerateSpectrumMixture(2000, 32, PowerLawSpectrum(32, 1.2), 12, 1.5,
+                               51),
+       8, 48},
+  };
+  for (const Case& c : cases) {
+    VaqIvfOptions opts;
+    opts.vaq.num_subspaces = c.num_subspaces;
+    opts.vaq.total_bits = c.total_bits;
+    opts.vaq.kmeans_iters = 5;
+    opts.vaq.ti_clusters = 16;
+    opts.coarse_k = 8;
+    auto flat = VaqIndex::Train(c.data, opts.vaq);
+    auto ivf = VaqIvfIndex::Train(c.data, opts);
+    ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+    ASSERT_TRUE(ivf.ok()) << ivf.status().ToString();
+    EXPECT_EQ(ivf->bits_per_subspace(), flat->bits_per_subspace());
+    for (int b : ivf->bits_per_subspace()) {
+      EXPECT_LE(size_t{1} << b, c.data.rows()) << "dictionary above n";
+    }
+    EXPECT_EQ(ivf->encoder().permutation(), flat->encoder().permutation());
+    const CodeMatrix& a = flat->codes();
+    const CodeMatrix& b = ivf->codes();
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.cols(), b.cols());
+    EXPECT_TRUE(std::equal(a.data(), a.data() + a.size(), b.data()));
   }
 }
 

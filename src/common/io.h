@@ -74,13 +74,17 @@ Status ReadPod(std::istream& is, T* value) {
   return Status::OK();
 }
 
+/// Writes `count` elements in the layout ReadVector reads.
+template <typename T>
+void WriteSpan(std::ostream& os, const T* data, size_t count) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  WritePod<uint64_t>(os, count);
+  if (count != 0) WriteBytes(os, data, count * sizeof(T));
+}
+
 template <typename T>
 void WriteVector(std::ostream& os, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  WritePod<uint64_t>(os, v.size());
-  if (!v.empty()) {
-    WriteBytes(os, v.data(), v.size() * sizeof(T));
-  }
+  WriteSpan(os, v.data(), v.size());
 }
 
 /// Bytes left between the stream's current position and its end, or -1

@@ -55,16 +55,19 @@ class TopKHeap {
     return heap_.front().distance;
   }
 
-  /// Inserts if the candidate improves the top-k. Returns true if kept.
+  /// Inserts if the candidate improves the top-k under the (distance, id)
+  /// order, so the kept set never depends on the order of the pushes.
+  /// Returns true if kept.
   bool Push(float distance, int64_t id) {
+    const Neighbor candidate{distance, id};
     if (heap_.size() < k_) {
-      heap_.push_back({distance, id});
+      heap_.push_back(candidate);
       std::push_heap(heap_.begin(), heap_.end());
       return true;
     }
-    if (distance >= heap_.front().distance) return false;
+    if (!(candidate < heap_.front())) return false;
     std::pop_heap(heap_.begin(), heap_.end());
-    heap_.back() = {distance, id};
+    heap_.back() = candidate;
     std::push_heap(heap_.begin(), heap_.end());
     return true;
   }

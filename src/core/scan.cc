@@ -13,24 +13,6 @@
 
 namespace vaq {
 
-BlockedCodes BlockedCodes::Build(const CodeMatrix& codes) {
-  BlockedCodes bc;
-  bc.rows_ = codes.rows();
-  bc.num_subspaces_ = codes.cols();
-  if (bc.rows_ == 0 || bc.num_subspaces_ == 0) return bc;
-  const size_t m = bc.num_subspaces_;
-  const size_t blocks = (bc.rows_ + kScanBlockSize - 1) / kScanBlockSize;
-  bc.data_.assign(blocks * m * kScanBlockSize, 0);
-  for (size_t r = 0; r < bc.rows_; ++r) {
-    const uint16_t* src = codes.row(r);
-    const size_t b = r / kScanBlockSize;
-    const size_t lane = r % kScanBlockSize;
-    uint16_t* dst = bc.data_.data() + b * m * kScanBlockSize + lane;
-    for (size_t s = 0; s < m; ++s) dst[s * kScanBlockSize] = src[s];
-  }
-  return bc;
-}
-
 BlockedCodes BlockedCodes::Build(const CodeMatrix& codes, const uint32_t* ids,
                                  size_t count) {
   BlockedCodes bc;
@@ -41,14 +23,54 @@ BlockedCodes BlockedCodes::Build(const CodeMatrix& codes, const uint32_t* ids,
   const size_t blocks = (count + kScanBlockSize - 1) / kScanBlockSize;
   bc.data_.assign(blocks * m * kScanBlockSize, 0);
   for (size_t r = 0; r < count; ++r) {
-    VAQ_DCHECK(ids[r] < codes.rows());
-    const uint16_t* src = codes.row(ids[r]);
+    const size_t id = ids != nullptr ? ids[r] : r;
+    VAQ_DCHECK(id < codes.rows());
+    const uint16_t* src = codes.row(id);
     const size_t b = r / kScanBlockSize;
     const size_t lane = r % kScanBlockSize;
     uint16_t* dst = bc.data_.data() + b * m * kScanBlockSize + lane;
     for (size_t s = 0; s < m; ++s) dst[s * kScanBlockSize] = src[s];
   }
   return bc;
+}
+
+Result<PartitionedCodes> PartitionedCodes::Build(
+    const CodeMatrix& codes,
+    const std::vector<std::vector<uint32_t>>& partitions) {
+  const size_t n = codes.rows();
+  PartitionedCodes store;
+  store.ids_.reserve(n);
+  store.offsets_.reserve(partitions.size() + 1);
+  store.offsets_.push_back(0);
+  // The ids index `codes` and come from files, so they are checked before
+  // any row is gathered.
+  std::vector<bool> seen(n, false);
+  for (const std::vector<uint32_t>& partition : partitions) {
+    for (uint32_t id : partition) {
+      if (id >= n || seen[id]) {
+        return Status::Internal("partitions are not a partition of the "
+                                "database rows");
+      }
+      seen[id] = true;
+      store.ids_.push_back(id);
+    }
+    store.offsets_.push_back(store.ids_.size());
+  }
+  if (store.ids_.size() != n) {
+    return Status::Internal("partitions do not cover every database row");
+  }
+  store.blocked_ = BlockedCodes::Build(codes, store.ids_.data(), n);
+  return store;
+}
+
+CodeMatrix PartitionedCodes::RowCodes() const {
+  const size_t m = blocked_.num_subspaces();
+  CodeMatrix codes(rows(), m);
+  for (size_t pos = 0; pos < rows(); ++pos) {
+    uint16_t* dst = codes.row(ids_[pos]);
+    for (size_t s = 0; s < m; ++s) dst[s] = blocked_.code(pos, s);
+  }
+  return codes;
 }
 
 namespace {
@@ -182,7 +204,7 @@ void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
       for (size_t i = lo + 1; i < hi; ++i) {
         min_partial = std::min(min_partial, acc[i]);
       }
-      if (min_partial >= threshold) {
+      if (min_partial > threshold) {
         abandoned = true;
         break;
       }
@@ -192,8 +214,9 @@ void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
       stats->lut_adds += s * (hi - lo);
     }
     if (!abandoned) {
-      // Every lane holds a complete distance; Push rejects anything at or
-      // above the live threshold, so stale-threshold pushes are harmless.
+      // Every lane holds a complete distance; Push rejects anything that
+      // does not beat the live (distance, id) maximum, so stale-threshold
+      // pushes are harmless.
       if (stats != nullptr) stats->rows_scanned += hi - lo;
       for (size_t i = lo; i < hi; ++i) {
         const size_t global = block_row0 + i;

@@ -75,10 +75,12 @@ class BlockedCodes {
   BlockedCodes() = default;
 
   /// Blocks every row of `codes` in row order.
-  static BlockedCodes Build(const CodeMatrix& codes);
+  static BlockedCodes Build(const CodeMatrix& codes) {
+    return Build(codes, nullptr, codes.rows());
+  }
 
-  /// Blocks the subset `ids[0..count)` of rows, in that order. Used for
-  /// TI clusters and IVF lists whose members are scanned contiguously.
+  /// Blocks rows `ids[0..count)` of `codes`, in that order (nullptr ids =
+  /// rows 0..count).
   static BlockedCodes Build(const CodeMatrix& codes, const uint32_t* ids,
                             size_t count);
 
@@ -88,17 +90,58 @@ class BlockedCodes {
     return data_.empty() ? 0
                          : data_.size() / (num_subspaces_ * kScanBlockSize);
   }
-  bool empty() const { return rows_ == 0; }
+  /// Bytes held, block padding included.
+  size_t bytes() const { return data_.size() * sizeof(uint16_t); }
 
   /// Start of block `b`'s transposed codes (m * kScanBlockSize entries).
   const uint16_t* block(size_t b) const {
     return data_.data() + b * num_subspaces_ * kScanBlockSize;
+  }
+  /// Code of subspace `s` at blocked row `row`.
+  uint16_t code(size_t row, size_t s) const {
+    return block(row / kScanBlockSize)[s * kScanBlockSize +
+                                       row % kScanBlockSize];
   }
 
  private:
   size_t rows_ = 0;
   size_t num_subspaces_ = 0;
   std::vector<uint16_t> data_;
+};
+
+/// The one copy of an index's codes (DESIGN.md §7): every row blocked
+/// once, partition by partition, plus the position -> row-id map. A
+/// partition (a TI cluster or an IVF list) is the position range
+/// [partition_begin(p), partition_end(p)); a flat scan walks all
+/// positions. Ranges need not start on a block boundary.
+class PartitionedCodes {
+ public:
+  PartitionedCodes() = default;
+
+  /// Blocks the rows of `codes` partition by partition, each partition in
+  /// its given order. Fails with kInternal unless the partitions hold
+  /// every row of `codes` exactly once.
+  static Result<PartitionedCodes> Build(
+      const CodeMatrix& codes,
+      const std::vector<std::vector<uint32_t>>& partitions);
+
+  size_t rows() const { return ids_.size(); }
+  size_t num_partitions() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  size_t partition_begin(size_t p) const { return offsets_[p]; }
+  size_t partition_end(size_t p) const { return offsets_[p + 1]; }
+  /// Row id stored at each position.
+  const std::vector<uint32_t>& ids() const { return ids_; }
+  const BlockedCodes& blocked() const { return blocked_; }
+
+  /// The codes row-major, row r holding vector r (a fresh copy).
+  CodeMatrix RowCodes() const;
+
+ private:
+  BlockedCodes blocked_;
+  std::vector<uint32_t> ids_;
+  std::vector<size_t> offsets_;
 };
 
 /// One ADC accumulation kernel. `accumulate` adds, for every lane
@@ -160,10 +203,11 @@ void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,
 /// The best-so-far threshold is read once per block; after every
 /// `interval` subspaces the block is abandoned when the minimum partial
 /// sum over its active lanes already exceeds that threshold (no lane can
-/// improve the heap). Only fully-accumulated rows are ever pushed, so an
-/// abandoned partial sum is never mistaken for a distance — the same
-/// invariant as the reference per-row early abandon, and therefore the
-/// same final top-k.
+/// improve the heap; a lane equal to it may still win its tie by id).
+/// Only fully-accumulated rows are ever pushed, so an abandoned partial
+/// sum is never mistaken for a distance — the same invariant as the
+/// reference per-row early abandon, and therefore the same final top-k.
+/// [row_begin, row_end) may start and end inside blocks.
 /// `stop` has the same block-granular semantics as in BlockedFullScan.
 void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
                    const uint32_t* ids, const float* lut,

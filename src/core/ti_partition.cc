@@ -13,7 +13,8 @@ namespace vaq {
 
 Status TiPartition::Build(const CodeMatrix& codes,
                           const VariableCodebooks& books,
-                          const TiPartitionOptions& options) {
+                          const TiPartitionOptions& options,
+                          std::vector<std::vector<uint32_t>>* members) {
   if (!books.trained()) {
     return Status::FailedPrecondition("codebooks must be trained first");
   }
@@ -51,7 +52,6 @@ Status TiPartition::Build(const CodeMatrix& codes,
                                  &cluster_luts[c]);
   }
 
-  clusters_.assign(num_clusters, Cluster{});
   std::vector<uint32_t> assignment(n);
   std::vector<float> best_dist(n);
   size_t num_threads = options.num_threads;
@@ -96,14 +96,16 @@ Status TiPartition::Build(const CodeMatrix& codes,
 
   // Sort each cluster ascending by centroid distance (Section III-D keeps
   // members ordered from closest to furthest).
+  distances_.assign(num_clusters, {});
+  members->assign(num_clusters, {});
   for (size_t c = 0; c < num_clusters; ++c) {
-    auto& members = staged[c];
-    std::sort(members.begin(), members.end());
-    clusters_[c].ids.reserve(members.size());
-    clusters_[c].distances.reserve(members.size());
-    for (const auto& [dist, id] : members) {
-      clusters_[c].ids.push_back(id);
-      clusters_[c].distances.push_back(dist);
+    auto& staged_members = staged[c];
+    std::sort(staged_members.begin(), staged_members.end());
+    distances_[c].reserve(staged_members.size());
+    (*members)[c].reserve(staged_members.size());
+    for (const auto& [dist, id] : staged_members) {
+      distances_[c].push_back(dist);
+      (*members)[c].push_back(id);
     }
   }
   built_ = true;
@@ -121,18 +123,22 @@ void TiPartition::QueryDistances(const float* projected_query,
   }
 }
 
-void TiPartition::Save(std::ostream& os) const {
+void TiPartition::Save(std::ostream& os,
+                       const PartitionedCodes& store) const {
   WritePod<uint8_t>(os, built_ ? 1 : 0);
   WritePod<uint64_t>(os, prefix_subspaces_);
   WriteMatrix(os, centroids_);
-  WritePod<uint64_t>(os, clusters_.size());
-  for (const auto& cluster : clusters_) {
-    WriteVector(os, cluster.ids);
-    WriteVector(os, cluster.distances);
+  WritePod<uint64_t>(os, distances_.size());
+  for (size_t c = 0; c < distances_.size(); ++c) {
+    const size_t begin = store.partition_begin(c);
+    WriteSpan(os, store.ids().data() + begin,
+              store.partition_end(c) - begin);
+    WriteVector(os, distances_[c]);
   }
 }
 
-Status TiPartition::Load(std::istream& is) {
+Status TiPartition::Load(std::istream& is,
+                         std::vector<std::vector<uint32_t>>* members) {
   uint8_t built = 0;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &built));
   uint64_t prefix = 0;
@@ -147,11 +153,12 @@ Status TiPartition::Load(std::istream& is) {
     return Status::IoError("TI cluster count exceeds remaining payload "
                            "(corrupted file?)");
   }
-  clusters_.assign(num, Cluster{});
-  for (auto& cluster : clusters_) {
-    VAQ_RETURN_IF_ERROR(ReadVector(is, &cluster.ids));
-    VAQ_RETURN_IF_ERROR(ReadVector(is, &cluster.distances));
-    if (cluster.ids.size() != cluster.distances.size()) {
+  members->assign(num, {});
+  distances_.assign(num, {});
+  for (size_t c = 0; c < num; ++c) {
+    VAQ_RETURN_IF_ERROR(ReadVector(is, &(*members)[c]));
+    VAQ_RETURN_IF_ERROR(ReadVector(is, &distances_[c]));
+    if ((*members)[c].size() != distances_[c].size()) {
       return Status::IoError("corrupted TI partition: id/distance arrays "
                              "disagree in length");
     }
@@ -161,7 +168,8 @@ Status TiPartition::Load(std::istream& is) {
   return Status::OK();
 }
 
-Status TiPartition::ValidateInvariants(size_t num_rows, size_t num_subspaces,
+Status TiPartition::ValidateInvariants(const PartitionedCodes& store,
+                                       size_t num_subspaces,
                                        size_t expected_prefix_dims) const {
   if (!built_) return Status::FailedPrecondition("TI partition is not built");
   if (prefix_subspaces_ == 0 || prefix_subspaces_ > num_subspaces) {
@@ -171,7 +179,7 @@ Status TiPartition::ValidateInvariants(size_t num_rows, size_t num_subspaces,
     return Status::Internal("TI centroid width disagrees with the layout's "
                             "prefix dimensions");
   }
-  if (centroids_.rows() != clusters_.size() || clusters_.empty()) {
+  if (centroids_.rows() != distances_.size() || distances_.empty()) {
     return Status::Internal("TI centroid/cluster counts disagree");
   }
   for (size_t i = 0; i < centroids_.size(); ++i) {
@@ -179,31 +187,25 @@ Status TiPartition::ValidateInvariants(size_t num_rows, size_t num_subspaces,
       return Status::Internal("TI centroids contain non-finite values");
     }
   }
-  std::vector<bool> seen(num_rows, false);
-  size_t total = 0;
-  for (const Cluster& cluster : clusters_) {
-    if (cluster.ids.size() != cluster.distances.size()) {
-      return Status::Internal("TI id/distance arrays disagree in length");
+  // The store's partitions are the clusters, member for member.
+  if (store.num_partitions() != distances_.size()) {
+    return Status::Internal("TI cluster count disagrees with the code "
+                            "store's partitions");
+  }
+  for (size_t c = 0; c < distances_.size(); ++c) {
+    const std::vector<float>& cached = distances_[c];
+    if (cached.size() != store.partition_end(c) - store.partition_begin(c)) {
+      return Status::Internal("TI cached distances disagree with the "
+                              "cluster's member count");
     }
     float prev = 0.f;
-    for (size_t i = 0; i < cluster.ids.size(); ++i) {
-      const uint32_t id = cluster.ids[i];
-      if (id >= num_rows || seen[id]) {
-        return Status::Internal("TI clusters are not a partition of the "
-                                "database rows");
-      }
-      seen[id] = true;
-      const float d = cluster.distances[i];
+    for (float d : cached) {
       if (!std::isfinite(d) || d < 0.f || d < prev) {
         return Status::Internal("TI cached distances are not sorted "
                                 "non-negative finite values");
       }
       prev = d;
     }
-    total += cluster.ids.size();
-  }
-  if (total != num_rows) {
-    return Status::Internal("TI clusters do not cover every database row");
   }
   return Status::OK();
 }

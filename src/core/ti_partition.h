@@ -9,6 +9,7 @@
 #include "common/matrix.h"
 #include "common/status.h"
 #include "core/codebook.h"
+#include "core/scan.h"
 
 namespace vaq {
 
@@ -34,27 +35,28 @@ struct TiPartitionOptions {
 /// query-to-centroid distance dq, only members with cached distance in
 /// (dq - r, dq + r) can beat the best-so-far — found by binary search —
 /// because |dq - dx| <= d(query, member) by the triangle inequality.
+///
+/// The member ids themselves live in the index's PartitionedCodes, whose
+/// partition c holds cluster c's members in this same order; the
+/// partition keeps only centroids and cached distances.
 class TiPartition {
  public:
-  /// One partition: member row ids and their cached centroid distances,
-  /// both sorted ascending by distance.
-  struct Cluster {
-    std::vector<uint32_t> ids;
-    std::vector<float> distances;
-  };
-
   TiPartition() = default;
 
-  /// Builds the partition over `codes` using `books` to decode. The
-  /// cluster count is capped at the number of rows.
+  /// Builds the partition over `codes` using `books` to decode, and
+  /// returns each cluster's member ids in `members`, sorted like the
+  /// cached distances. The cluster count is capped at the number of rows.
   Status Build(const CodeMatrix& codes, const VariableCodebooks& books,
-               const TiPartitionOptions& options);
+               const TiPartitionOptions& options,
+               std::vector<std::vector<uint32_t>>* members);
 
-  bool built() const { return built_; }
-  size_t num_clusters() const { return clusters_.size(); }
+  size_t num_clusters() const { return distances_.size(); }
   size_t prefix_subspaces() const { return prefix_subspaces_; }
   size_t prefix_dims() const { return centroids_.cols(); }
-  const Cluster& cluster(size_t c) const { return clusters_[c]; }
+  /// Cluster `c`'s cached centroid distances, ascending.
+  const std::vector<float>& distances(size_t c) const {
+    return distances_[c];
+  }
 
   /// Cluster centroids in decoded (prefix) float space.
   const FloatMatrix& centroids() const { return centroids_; }
@@ -64,22 +66,26 @@ class TiPartition {
   void QueryDistances(const float* projected_query,
                       std::vector<float>* out) const;
 
-  void Save(std::ostream& os) const;
-  Status Load(std::istream& is);
+  /// Writes the partition with each cluster's member ids, read from
+  /// partition c of `store`.
+  void Save(std::ostream& os, const PartitionedCodes& store) const;
+  /// Reads what Save wrote; the member ids go to `members`.
+  Status Load(std::istream& is, std::vector<std::vector<uint32_t>>* members);
 
-  /// Post-load semantic validation against the index the partition serves:
-  /// prefix bounds, centroid width, sorted finite cached distances, and —
-  /// because TI is a *partition* — every row id in [0, num_rows) exactly
-  /// once across clusters. `expected_prefix_dims` is the width of the
-  /// layout's first prefix_subspaces() spans.
-  Status ValidateInvariants(size_t num_rows, size_t num_subspaces,
+  /// Post-load semantic validation against the store the partition
+  /// serves: prefix bounds, centroid width, one store partition per
+  /// cluster with one sorted finite cached distance per member.
+  /// `expected_prefix_dims` is the width of the layout's first
+  /// prefix_subspaces() spans.
+  Status ValidateInvariants(const PartitionedCodes& store,
+                            size_t num_subspaces,
                             size_t expected_prefix_dims) const;
 
  private:
   bool built_ = false;
   size_t prefix_subspaces_ = 0;
   FloatMatrix centroids_;
-  std::vector<Cluster> clusters_;
+  std::vector<std::vector<float>> distances_;  ///< per cluster, ascending
 };
 
 }  // namespace vaq

@@ -22,8 +22,9 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
                                  const VaqOptions& options) {
   VaqIndex index;
   index.options_ = options;
+  CodeMatrix codes;
   VAQ_ASSIGN_OR_RETURN(index.encoder_,
-                       VaqEncoder::Train(data, options, &index.codes_));
+                       VaqEncoder::Train(data, options, &codes));
 
   MetricsRegistry& reg = MetricsRegistry::Global();
   double ti_us = 0.0, scan_us = 0.0;
@@ -32,22 +33,18 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
       index.encoder_.subspace_variances();
 
   // Step 6 (Algorithm 3 lines 24-48): TI partition for data skipping.
+  std::vector<std::vector<uint32_t>> members;
   {
     StageTimer st(reg.GetCounter("vaq_build_ti_us_total",
                                  "Cumulative TI partition build time (us)"),
                   &ti_us);
-    TiPartitionOptions topts;
-    topts.num_clusters = options.ti_clusters;
-    topts.num_threads = options.train_threads;
-    topts.seed = options.seed ^ 0x7153A9F2ULL;
-    if (options.ti_prefix_subspaces > 0) {
-      topts.prefix_subspaces = options.ti_prefix_subspaces;
-    } else {
+    size_t prefix = options.ti_prefix_subspaces;
+    if (prefix == 0) {
       // Auto: smallest prefix explaining >= 90% of the variance.
       double acc = 0.0;
       const double total = std::accumulate(subspace_variances.begin(),
                                            subspace_variances.end(), 0.0);
-      size_t prefix = m;
+      prefix = m;
       for (size_t s = 0; s < m; ++s) {
         acc += subspace_variances[s];
         if (total > 0.0 && acc >= 0.9 * total) {
@@ -55,17 +52,17 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
           break;
         }
       }
-      topts.prefix_subspaces = prefix;
     }
-    VAQ_RETURN_IF_ERROR(
-        index.ti_.Build(index.codes_, index.codebooks(), topts));
+    VAQ_RETURN_IF_ERROR(index.ti_.Build(codes, index.codebooks(),
+                                        index.TiOptions(prefix), &members));
   }
   {
     StageTimer st(
         reg.GetCounter("vaq_build_scan_layout_us_total",
                        "Cumulative blocked scan-layout build time (us)"),
         &scan_us);
-    index.BuildScanStructures();
+    VAQ_ASSIGN_OR_RETURN(index.store_,
+                         PartitionedCodes::Build(codes, members));
   }
   reg.GetCounter("vaq_builds_total", "Index builds completed")->Increment();
   VAQ_LOG(LogLevel::kDebug,
@@ -74,15 +71,13 @@ Result<VaqIndex> VaqIndex::Train(const FloatMatrix& data,
   return index;
 }
 
-void VaqIndex::BuildScanStructures() {
-  blocked_ = BlockedCodes::Build(codes_);
-  ti_blocked_.clear();
-  ti_blocked_.reserve(ti_.num_clusters());
-  for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    const TiPartition::Cluster& cluster = ti_.cluster(c);
-    ti_blocked_.push_back(
-        BlockedCodes::Build(codes_, cluster.ids.data(), cluster.ids.size()));
-  }
+TiPartitionOptions VaqIndex::TiOptions(size_t prefix_subspaces) const {
+  TiPartitionOptions topts;
+  topts.num_clusters = options_.ti_clusters;
+  topts.num_threads = options_.train_threads;
+  topts.prefix_subspaces = prefix_subspaces;
+  topts.seed = options_.seed ^ 0x7153A9F2ULL;
+  return topts;
 }
 
 Status VaqIndex::Add(const FloatMatrix& data) {
@@ -95,19 +90,17 @@ Status VaqIndex::Add(const FloatMatrix& data) {
   VAQ_ASSIGN_OR_RETURN(CodeMatrix fresh,
                        encoder_.Encode(data, options_.train_threads));
 
-  CodeMatrix merged(codes_.rows() + fresh.rows(), codes_.cols());
-  std::copy_n(codes_.data(), codes_.size(), merged.data());
-  std::copy_n(fresh.data(), fresh.size(),
-              merged.data() + codes_.size());
-  codes_ = std::move(merged);
+  // The store is the only copy of the codes: merge row-major, then
+  // re-partition and re-block everything.
+  const CodeMatrix old = store_.RowCodes();
+  CodeMatrix merged(old.rows() + fresh.rows(), old.cols());
+  std::copy_n(old.data(), old.size(), merged.data());
+  std::copy_n(fresh.data(), fresh.size(), merged.data() + old.size());
 
-  TiPartitionOptions topts;
-  topts.num_clusters = options_.ti_clusters;
-  topts.num_threads = options_.train_threads;
-  topts.prefix_subspaces = ti_.prefix_subspaces();
-  topts.seed = options_.seed ^ 0x7153A9F2ULL;
-  VAQ_RETURN_IF_ERROR(ti_.Build(codes_, codebooks(), topts));
-  BuildScanStructures();
+  std::vector<std::vector<uint32_t>> members;
+  VAQ_RETURN_IF_ERROR(ti_.Build(merged, codebooks(),
+                                TiOptions(ti_.prefix_subspaces()), &members));
+  VAQ_ASSIGN_OR_RETURN(store_, PartitionedCodes::Build(merged, members));
   return Status::OK();
 }
 
@@ -138,6 +131,7 @@ void VaqIndex::SearchProjected(const float* projected,
     TraceSpan span(trace, QueryPhase::kLutBuild);
     books.BuildLookupTable(projected, &lut);
   }
+  if (stop != nullptr && stop->ShouldStop()) return;
 
   const size_t m = num_subspaces();
   const size_t s_limit = params.num_subspaces_used == 0
@@ -149,18 +143,21 @@ void VaqIndex::SearchProjected(const float* projected,
   }
   const size_t interval = std::max<size_t>(1, params.ea_check_interval);
 
+  // Heap and EA walk the whole store; its cluster order does not change
+  // their answers, because the heap keeps the k smallest (distance, id).
+  const BlockedCodes& blocked = store_.blocked();
+  const uint32_t* ids = store_.ids().data();
   if (mode == SearchMode::kHeap) {
     TraceSpan span(trace, QueryPhase::kBlockScan);
-    BlockedFullScan(blocked_, nullptr, lut.data(), lut_offsets, s_limit,
-                    kernel, scratch->acc, heap, stats, stop);
+    BlockedFullScan(blocked, ids, lut.data(), lut_offsets, s_limit, kernel,
+                    scratch->acc, heap, stats, stop);
     return;
   }
 
   if (mode == SearchMode::kEarlyAbandon) {
     TraceSpan span(trace, QueryPhase::kBlockScan);
-    BlockedEaScan(blocked_, 0, blocked_.rows(), nullptr, lut.data(),
-                  lut_offsets, s_limit, interval, kernel, scratch->acc, heap,
-                  stats, stop);
+    BlockedEaScan(blocked, 0, blocked.rows(), ids, lut.data(), lut_offsets,
+                  s_limit, interval, kernel, scratch->acc, heap, stats, stop);
     return;
   }
 
@@ -188,6 +185,7 @@ void VaqIndex::SearchProjected(const float* projected,
     stats->partitions_total = order.size();
     stats->partitions_visited = 0;  // plan stamped; nothing entered yet
   }
+  if (stop != nullptr && stop->ShouldStop()) return;
 
   // One span covers the whole visit loop: the window searches run between
   // block scans, and per-chunk spans would cost more than the chunks. TI
@@ -199,23 +197,23 @@ void VaqIndex::SearchProjected(const float* projected,
     if (stop != nullptr && stop->ShouldStop()) return;
     if (stats != nullptr) ++stats->partitions_visited;
     const size_t c = order[v];
-    const TiPartition::Cluster& cluster = ti_.cluster(c);
-    if (cluster.ids.empty()) continue;
-    const BlockedCodes& bc = ti_blocked_[c];
+    // Cluster c is store positions [base, base + size); the window
+    // indexes below are relative to base.
+    const size_t base = store_.partition_begin(c);
+    const size_t size = store_.partition_end(c) - base;
+    if (size == 0) continue;
     const float dq = query_to_cluster[c];
-    const float* cached = cluster.distances.data();
+    const float* cached = ti_.distances(c).data();
 
     // Members that can beat the best-so-far satisfy
     // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
     size_t begin = 0;
-    size_t end = cluster.ids.size();
+    size_t end = size;
     if (heap->full()) {
       const float r = std::sqrt(heap->Threshold());
       begin = std::lower_bound(cached, cached + end, dq - r) - cached;
       end = std::upper_bound(cached + begin, cached + end, dq + r) - cached;
-      if (stats != nullptr) {
-        stats->codes_skipped_ti += cluster.ids.size() - (end - begin);
-      }
+      if (stats != nullptr) stats->codes_skipped_ti += size - (end - begin);
     }
     size_t i = begin;
     while (i < end) {
@@ -236,12 +234,13 @@ void VaqIndex::SearchProjected(const float* projected,
           break;
         }
       }
-      // Scan to the nearer of the window edge and the block boundary, so
-      // the window is re-tightened against the improved threshold before
-      // the next block starts.
-      const size_t chunk_end =
-          std::min(stop_row, (i / kScanBlockSize + 1) * kScanBlockSize);
-      BlockedEaScan(bc, i, chunk_end, cluster.ids.data(), lut.data(),
+      // Scan to the nearer of the window edge and the store's next block
+      // boundary, so the window is re-tightened against the improved
+      // threshold before the next block starts.
+      const size_t chunk_end = std::min(
+          stop_row,
+          ((base + i) / kScanBlockSize + 1) * kScanBlockSize - base);
+      BlockedEaScan(blocked, base + i, base + chunk_end, ids, lut.data(),
                     lut_offsets, m, interval, kernel, scratch->acc, heap,
                     stats, stop);
       if (stop != nullptr && stop->stopped()) return;
@@ -312,8 +311,12 @@ Status VaqIndex::Search(const float* query, const SearchParams& params,
     encoder_.ProjectQuery(query, &scratch->pca_space, &scratch->projected);
   }
   scratch->heap.Reset(params.k);
-  SearchProjected(scratch->projected.data(), params, scratch, &scratch->heap,
-                  stats, stop_ptr);
+  // Deadline check points before the scan: here, after the LUT build and
+  // after partition ranking (SearchProjected).
+  if (stop_ptr == nullptr || !stop_ptr->ShouldStop()) {
+    SearchProjected(scratch->projected.data(), params, scratch,
+                    &scratch->heap, stats, stop_ptr);
+  }
   return FinalizeSearchResult(stop_ptr, params.strict_deadline,
                               &scratch->heap, out, stats, before,
                               params.trace, timer.ElapsedMicros(),
@@ -412,9 +415,12 @@ Status VaqIndex::LoadOptionsSection(std::istream& is) {
 }
 
 Status VaqIndex::ValidateInvariants() const {
+  return CheckInvariants(store_.RowCodes());
+}
+
+Status VaqIndex::CheckInvariants(const CodeMatrix& codes) const {
   VAQ_RETURN_IF_ERROR(encoder_.ValidateInvariants());
   const size_t m = num_subspaces();
-  const size_t n = codes_.rows();
   if (m != options_.num_subspaces) {
     return Status::Internal("subspace count disagrees with options");
   }
@@ -434,14 +440,16 @@ Status VaqIndex::ValidateInvariants() const {
       return Status::Internal("subspace variances contain invalid values");
     }
   }
-  if (n == 0) return Status::Internal("index holds no encoded vectors");
-  VAQ_RETURN_IF_ERROR(codebooks().ValidateCodes(codes_));
+  if (codes.rows() == 0) {
+    return Status::Internal("index holds no encoded vectors");
+  }
+  VAQ_RETURN_IF_ERROR(codebooks().ValidateCodes(codes));
   const size_t p = ti_.prefix_subspaces();
   if (p == 0 || p > m) {
     return Status::Internal("TI prefix_subspaces outside [1, m]");
   }
   const SubspaceSpan& last = encoder_.layout().span(p - 1);
-  return ti_.ValidateInvariants(n, m, last.offset + last.length);
+  return ti_.ValidateInvariants(store_, m, last.offset + last.length);
 }
 
 namespace {
@@ -457,9 +465,11 @@ constexpr uint32_t kSecTi = SectionTag('T', 'I', 'P', 'T');
 }  // namespace
 
 Status VaqIndex::Save(const std::string& path) const {
+  // The CODE section stays row-major (format v1), rebuilt from the store.
+  const CodeMatrix codes = store_.RowCodes();
   // Refuse to persist a broken index: the file would checksum correctly
   // but fail validation on load.
-  VAQ_RETURN_IF_ERROR(ValidateInvariants());
+  VAQ_RETURN_IF_ERROR(CheckInvariants(codes));
   ContainerWriter writer(kMagic, kVaqIndexFormatVersion);
   SaveOptionsSection(writer.AddSection(kSecOptions));
   encoder_.SavePca(writer.AddSection(kSecPca));
@@ -467,8 +477,8 @@ Status VaqIndex::Save(const std::string& path) const {
   encoder_.SavePermutation(layout);
   encoder_.SaveProfile(layout);
   encoder_.SaveCodebooks(writer.AddSection(kSecBooks));
-  WriteMatrix(writer.AddSection(kSecCodes), codes_);
-  ti_.Save(writer.AddSection(kSecTi));
+  WriteMatrix(writer.AddSection(kSecCodes), codes);
+  ti_.Save(writer.AddSection(kSecTi), store_);
   return writer.Commit(path);
 }
 
@@ -483,16 +493,17 @@ Status VaqIndex::LoadSections(const SectionSource& source) {
   }));
   VAQ_RETURN_IF_ERROR(source.Read(
       kSecBooks, [&](std::istream& is) { return encoder_.LoadCodebooks(is); }));
+  CodeMatrix codes;
   VAQ_RETURN_IF_ERROR(source.Read(
-      kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes_); }));
-  VAQ_RETURN_IF_ERROR(
-      source.Read(kSecTi, [&](std::istream& is) { return ti_.Load(is); }));
-  // Semantic validation gates BuildScanStructures: the blocked layouts
-  // index codes_ through TI cluster ids, so inconsistent state must be
-  // rejected before any derived structure is built.
-  VAQ_RETURN_IF_ERROR(ValidateInvariants());
-  BuildScanStructures();
-  return Status::OK();
+      kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes); }));
+  std::vector<std::vector<uint32_t>> members;
+  VAQ_RETURN_IF_ERROR(source.Read(
+      kSecTi, [&](std::istream& is) { return ti_.Load(is, &members); }));
+  // Build checks that the cluster ids partition the rows before it
+  // gathers any code through them; the rest is checked on the codes as
+  // read.
+  VAQ_ASSIGN_OR_RETURN(store_, PartitionedCodes::Build(codes, members));
+  return CheckInvariants(codes);
 }
 
 Result<VaqIndex> VaqIndex::Load(const std::string& path) {

@@ -47,9 +47,10 @@ struct SearchParams {
   /// Wall-clock budget for this query (absolute expiry; a copy handed to
   /// every query of a batch enforces one shared batch deadline). The
   /// default never expires and adds zero overhead to the hot path.
-  /// Checked between 64-row blocks and between TI partitions, so on
-  /// expiry the query returns the meaningful best-so-far top-k
-  /// accumulated so far (DESIGN.md §9).
+  /// Checked after projection, LUT build and partition ranking, then
+  /// between 64-row blocks and between TI partitions, so on expiry the
+  /// query returns the meaningful best-so-far top-k accumulated so far
+  /// (DESIGN.md §9).
   Deadline deadline;
   /// Cooperative cancellation, checked at the same granularity. A
   /// cancelled query always fails with kCancelled.
@@ -82,10 +83,10 @@ class VaqIndex {
                                 const VaqOptions& options);
 
   /// Encodes additional vectors and appends them to the database, then
-  /// rebuilds the TI partition.
+  /// rebuilds the TI partition and the code store.
   Status Add(const FloatMatrix& data);
 
-  size_t size() const { return codes_.rows(); }
+  size_t size() const { return store_.rows(); }
   size_t dim() const { return encoder_.dim(); }
   size_t num_subspaces() const { return encoder_.num_subspaces(); }
   const std::vector<int>& bits_per_subspace() const {
@@ -94,13 +95,15 @@ class VaqIndex {
   /// PCA, permutation, layout, variance profile and codebooks.
   const VaqEncoder& encoder() const { return encoder_; }
   const VariableCodebooks& codebooks() const { return encoder_.codebooks(); }
-  /// The encoded database, one row per vector in insertion order.
-  const CodeMatrix& codes() const { return codes_; }
+  /// The encoded database: the one blocked copy of the codes, in TI
+  /// cluster order (partition c = cluster c's members).
+  const PartitionedCodes& store() const { return store_; }
   const TiPartition& ti_partition() const { return ti_; }
   const VaqOptions& options() const { return options_; }
 
-  /// Bytes used by the encoded database (2 bytes per subspace per vector).
-  size_t code_bytes() const { return codes_.size() * sizeof(uint16_t); }
+  /// Bytes used by the encoded database: 2 bytes per subspace per vector,
+  /// rounded up to whole 64-row blocks.
+  size_t code_bytes() const { return store_.blocked().bytes(); }
 
   /// k-NN search for a raw (unprojected) query of length dim(). Results
   /// are ADC distance estimates (non-squared), ascending. This overload
@@ -164,8 +167,8 @@ class VaqIndex {
   /// Semantic consistency of the full index state: the encoder's checks
   /// (VaqEncoder::ValidateInvariants), bits summing to the configured
   /// budget, every stored code addressing an existing dictionary entry, a
-  /// finite variance profile, and TI clusters partitioning the database.
-  /// Run automatically after Load and before Save.
+  /// finite variance profile, and TI clusters matching the store's
+  /// partitions. Run automatically after Load and before Save.
   Status ValidateInvariants() const;
 
  private:
@@ -173,22 +176,19 @@ class VaqIndex {
   Status LoadSections(const SectionSource& source);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
+  /// ValidateInvariants given `codes`, the store's codes row-major (Load
+  /// and Save hold them already).
+  Status CheckInvariants(const CodeMatrix& codes) const;
   Status ValidateSearchParams(const SearchParams& params) const;
+  TiPartitionOptions TiOptions(size_t prefix_subspaces) const;
   void SearchProjected(const float* projected, const SearchParams& params,
                        SearchScratch* scratch, TopKHeap* heap,
                        SearchStats* stats, StopController* stop) const;
-  /// (Re)builds the blocked code layouts the scan kernels consume. Called
-  /// after Train/Add/Load mutate codes_ or ti_.
-  void BuildScanStructures();
 
   VaqOptions options_;
   VaqEncoder encoder_;
-  CodeMatrix codes_;
-  TiPartition ti_;
-  // Scan-layer views of the database: derived from codes_/ti_ and rebuilt
-  // by BuildScanStructures (never serialized).
-  BlockedCodes blocked_;                 ///< whole database, row order
-  std::vector<BlockedCodes> ti_blocked_; ///< one per TI cluster, member order
+  TiPartition ti_;          ///< centroids and cached member distances
+  PartitionedCodes store_;  ///< the codes, blocked once in cluster order
 };
 
 }  // namespace vaq

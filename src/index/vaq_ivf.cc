@@ -26,16 +26,18 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
 
   VaqIvfIndex index;
   index.options_ = options;
+  CodeMatrix codes;
   FloatMatrix projected;
   VAQ_ASSIGN_OR_RETURN(
       index.encoder_,
-      VaqEncoder::Train(data, options.vaq, &index.codes_, &projected));
+      VaqEncoder::Train(data, options.vaq, &codes, &projected));
 
   // IVF part: trained coarse k-means over the projected vectors (instead
   // of VaqIndex's random-sample TI centroids), same build accounting as
   // VaqIndex::Train with a coarse-quantizer stage (DESIGN.md §10).
   MetricsRegistry& reg = MetricsRegistry::Global();
   double coarse_us = 0.0, scan_us = 0.0;
+  std::vector<std::vector<uint32_t>> lists;
   {
     StageTimer st(
         reg.GetCounter("vaq_build_coarse_us_total",
@@ -46,10 +48,10 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
     kopts.max_iters = options.vaq.kmeans_iters;
     kopts.seed = options.vaq.seed ^ 0x51F15EEDULL;
     VAQ_RETURN_IF_ERROR(index.coarse_.Train(projected, kopts));
-    index.lists_.assign(index.coarse_.k(), {});
+    lists.assign(index.coarse_.k(), {});
     const std::vector<uint32_t> assign = index.coarse_.AssignAll(projected);
     for (size_t r = 0; r < data.rows(); ++r) {
-      index.lists_[assign[r]].push_back(static_cast<uint32_t>(r));
+      lists[assign[r]].push_back(static_cast<uint32_t>(r));
     }
   }
   {
@@ -57,22 +59,13 @@ Result<VaqIvfIndex> VaqIvfIndex::Train(const FloatMatrix& data,
         reg.GetCounter("vaq_build_scan_layout_us_total",
                        "Cumulative blocked scan-layout build time (us)"),
         &scan_us);
-    index.BuildScanStructures();
+    VAQ_ASSIGN_OR_RETURN(index.store_, PartitionedCodes::Build(codes, lists));
   }
   reg.GetCounter("vaq_builds_total", "Index builds completed")->Increment();
   VAQ_LOG(LogLevel::kDebug,
           "VaqIvfIndex build report: n=%zu coarse=%.0fus scan_layout=%.0fus",
           data.rows(), coarse_us, scan_us);
   return index;
-}
-
-void VaqIvfIndex::BuildScanStructures() {
-  list_blocked_.clear();
-  list_blocked_.reserve(lists_.size());
-  for (const auto& list : lists_) {
-    list_blocked_.push_back(
-        BlockedCodes::Build(codes_, list.data(), list.size()));
-  }
 }
 
 namespace {
@@ -101,11 +94,16 @@ Status VaqIvfIndex::LoadOptionsSection(std::istream& is) {
 }
 
 void VaqIvfIndex::SaveListsSection(std::ostream& os) const {
-  WritePod<uint64_t>(os, lists_.size());
-  for (const auto& list : lists_) WriteVector(os, list);
+  WritePod<uint64_t>(os, store_.num_partitions());
+  for (size_t c = 0; c < store_.num_partitions(); ++c) {
+    const size_t begin = store_.partition_begin(c);
+    WriteSpan(os, store_.ids().data() + begin,
+              store_.partition_end(c) - begin);
+  }
 }
 
-Status VaqIvfIndex::LoadListsSection(std::istream& is) {
+Status VaqIvfIndex::LoadListsSection(
+    std::istream& is, std::vector<std::vector<uint32_t>>* lists) {
   uint64_t num = 0;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &num));
   // Every list costs at least an 8-byte length header; bound the resize
@@ -116,18 +114,23 @@ Status VaqIvfIndex::LoadListsSection(std::istream& is) {
     return Status::IoError("inverted list count exceeds remaining payload "
                            "(corrupted file?)");
   }
-  lists_.assign(num, {});
-  for (auto& list : lists_) {
+  lists->assign(num, {});
+  for (auto& list : *lists) {
     VAQ_RETURN_IF_ERROR(ReadVector(is, &list));
   }
   return Status::OK();
 }
 
 Status VaqIvfIndex::ValidateInvariants() const {
+  return CheckInvariants(store_.RowCodes());
+}
+
+Status VaqIvfIndex::CheckInvariants(const CodeMatrix& codes) const {
   VAQ_RETURN_IF_ERROR(encoder_.ValidateInvariants());
-  const size_t n = codes_.rows();
-  if (n == 0) return Status::Internal("index holds no encoded vectors");
-  VAQ_RETURN_IF_ERROR(encoder_.codebooks().ValidateCodes(codes_));
+  if (codes.rows() == 0) {
+    return Status::Internal("index holds no encoded vectors");
+  }
+  VAQ_RETURN_IF_ERROR(encoder_.codebooks().ValidateCodes(codes));
   if (options_.default_nprobe == 0) {
     return Status::Internal("default nprobe is 0: a default query would "
                             "probe no list");
@@ -141,26 +144,9 @@ Status VaqIvfIndex::ValidateInvariants() const {
       return Status::Internal("coarse centroids contain non-finite values");
     }
   }
-  if (lists_.size() != coarse_.k()) {
+  if (store_.num_partitions() != coarse_.k()) {
     return Status::Internal("inverted list count disagrees with the coarse "
                             "partition size");
-  }
-  // The lists must partition the database: every row id exactly once.
-  std::vector<bool> seen(n, false);
-  size_t total = 0;
-  for (const auto& list : lists_) {
-    for (uint32_t id : list) {
-      if (id >= n || seen[id]) {
-        return Status::Internal("inverted lists are not a partition of the "
-                                "database rows");
-      }
-      seen[id] = true;
-    }
-    total += list.size();
-  }
-  if (total != n) {
-    return Status::Internal("inverted lists do not cover every database "
-                            "row");
   }
   return Status::OK();
 }
@@ -169,7 +155,9 @@ Status VaqIvfIndex::Save(const std::string& path) const {
   if (!encoder_.trained()) {
     return Status::FailedPrecondition("index is not trained");
   }
-  VAQ_RETURN_IF_ERROR(ValidateInvariants());
+  // The CODE section stays row-major (format v1), rebuilt from the store.
+  const CodeMatrix codes = store_.RowCodes();
+  VAQ_RETURN_IF_ERROR(CheckInvariants(codes));
   ContainerWriter writer(kIvfMagic, kIvfFormatVersion);
   SaveOptionsSection(writer.AddSection(kSecOptions));
   // Unlike VaqIndex (LAYT section), IVF files keep the permutation here.
@@ -177,7 +165,7 @@ Status VaqIvfIndex::Save(const std::string& path) const {
   encoder_.SavePca(pca);
   encoder_.SavePermutation(pca);
   encoder_.SaveCodebooks(writer.AddSection(kSecBooks));
-  WriteMatrix(writer.AddSection(kSecCodes), codes_);
+  WriteMatrix(writer.AddSection(kSecCodes), codes);
   WriteMatrix(writer.AddSection(kSecCoarse), coarse_.centroids());
   SaveListsSection(writer.AddSection(kSecLists));
   return writer.Commit(path);
@@ -192,21 +180,22 @@ Status VaqIvfIndex::LoadSections(const SectionSource& source) {
   }));
   VAQ_RETURN_IF_ERROR(source.Read(
       kSecBooks, [&](std::istream& is) { return encoder_.LoadCodebooks(is); }));
+  CodeMatrix codes;
   VAQ_RETURN_IF_ERROR(source.Read(
-      kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes_); }));
+      kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes); }));
   VAQ_RETURN_IF_ERROR(source.Read(kSecCoarse, [&](std::istream& is) {
     FloatMatrix centroids;
     const Status st = ReadMatrix(is, &centroids);
     return st.ok() ? coarse_.Restore(std::move(centroids)) : st;
   }));
-  VAQ_RETURN_IF_ERROR(source.Read(
-      kSecLists, [&](std::istream& is) { return LoadListsSection(is); }));
-  // Validation gates BuildScanStructures: the blocked layouts gather
-  // codes_ rows through the list ids, so they must be proven in range
-  // first.
-  VAQ_RETURN_IF_ERROR(ValidateInvariants());
-  BuildScanStructures();
-  return Status::OK();
+  std::vector<std::vector<uint32_t>> lists;
+  VAQ_RETURN_IF_ERROR(source.Read(kSecLists, [&](std::istream& is) {
+    return LoadListsSection(is, &lists);
+  }));
+  // Build checks that the lists partition the rows before it gathers any
+  // code through them.
+  VAQ_ASSIGN_OR_RETURN(store_, PartitionedCodes::Build(codes, lists));
+  return CheckInvariants(codes);
 }
 
 Result<VaqIvfIndex> VaqIvfIndex::Load(const std::string& path) {
@@ -250,14 +239,31 @@ Status VaqIvfIndex::Search(const float* query, size_t k, size_t nprobe,
   StopController* stop = stop_state.armed() ? &stop_state : nullptr;
 
   const SearchStats before = stats != nullptr ? *stats : SearchStats{};
+  if (stats != nullptr) {
+    // The plan needs no ranking: nprobe of the coarse cells.
+    stats->clusters_total = coarse_.k();
+    stats->clusters_visited = nprobe;
+    stats->partitions_total = coarse_.k();
+    stats->partitions_visited = 0;  // plan stamped; nothing entered yet
+  }
   QueryTrace* trace = control.trace;
   if (trace != nullptr) trace->Reset();
 
   std::vector<float>& projected = scratch->projected;
+  TopKHeap& heap = scratch->heap;
+  heap.Reset(k);
+  // The deadline is checked after projection, LUT build and ranking, then
+  // between coarse cells and between 64-row blocks inside BlockedEaScan.
+  auto finish = [&] {
+    return FinalizeSearchResult(stop, control.strict_deadline, &heap, out,
+                                stats, before, trace, timer.ElapsedMicros(),
+                                cpu_timer.ElapsedMicros());
+  };
   {
     TraceSpan span(trace, QueryPhase::kProject);
     encoder_.ProjectQuery(query, &scratch->pca_space, &projected);
   }
+  if (stop != nullptr && stop->ShouldStop()) return finish();
 
   const VariableCodebooks& books = encoder_.codebooks();
   std::vector<float>& lut = scratch->lut;
@@ -265,6 +271,7 @@ Status VaqIvfIndex::Search(const float* query, size_t k, size_t nprobe,
     TraceSpan span(trace, QueryPhase::kLutBuild);
     books.BuildLookupTable(projected.data(), &lut);
   }
+  if (stop != nullptr && stop->ShouldStop()) return finish();
 
   // Rank the coarse cells by query distance; `query_to_cluster` holds the
   // distances and `order` the cell ranking, mirroring VaqIndex's TI path.
@@ -286,37 +293,25 @@ Status VaqIvfIndex::Search(const float* query, size_t k, size_t nprobe,
                       return a < b;
                     });
   rank_span.Stop();
-  if (stats != nullptr) {
-    stats->clusters_total = coarse_.k();
-    stats->clusters_visited = nprobe;
-    stats->partitions_total = coarse_.k();
-    stats->partitions_visited = 0;  // plan stamped; nothing entered yet
-  }
+  if (stop != nullptr && stop->ShouldStop()) return finish();
 
-  // Blocked early-abandoned ADC scan of the probed lists
-  // (importance-ordered subspaces, threshold checked once per block every
-  // 4 subspaces, same kernels as VaqIndex). The deadline/cancel check
-  // runs between coarse cells here and between 64-row blocks inside
-  // BlockedEaScan.
+  // Blocked early-abandoned ADC scan of the probed lists, each a position
+  // range of the store (importance-ordered subspaces, threshold checked
+  // once per block every 4 subspaces, same kernels as VaqIndex).
   const ScanKernel& kernel = GetScanKernel(options_.scan_kernel);
-  TopKHeap& heap = scratch->heap;
-  heap.Reset(k);
   {
     TraceSpan scan_span(trace, QueryPhase::kBlockScan);
     for (size_t v = 0; v < nprobe; ++v) {
       if (stop != nullptr && stop->ShouldStop()) break;
       if (stats != nullptr) ++stats->partitions_visited;
       const size_t c = order[v];
-      const BlockedCodes& bc = list_blocked_[c];
-      if (bc.empty()) continue;
-      BlockedEaScan(bc, 0, bc.rows(), lists_[c].data(), lut.data(),
+      BlockedEaScan(store_.blocked(), store_.partition_begin(c),
+                    store_.partition_end(c), store_.ids().data(), lut.data(),
                     books.lut_offsets(), books.num_subspaces(),
                     /*interval=*/4, kernel, scratch->acc, &heap, stats, stop);
     }
   }
-  return FinalizeSearchResult(stop, control.strict_deadline, &heap, out,
-                              stats, before, trace, timer.ElapsedMicros(),
-                              cpu_timer.ElapsedMicros());
+  return finish();
 }
 
 Status VaqIvfIndex::SearchBatchInto(

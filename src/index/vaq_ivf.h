@@ -36,18 +36,18 @@ class VaqIvfIndex {
   static Result<VaqIvfIndex> Train(const FloatMatrix& data,
                                    const VaqIvfOptions& options);
 
-  size_t size() const { return codes_.rows(); }
+  size_t size() const { return store_.rows(); }
   size_t dim() const { return encoder_.dim(); }
   size_t coarse_k() const { return coarse_.k(); }
   const std::vector<int>& bits_per_subspace() const {
     return encoder_.bits();
   }
   const VaqEncoder& encoder() const { return encoder_; }
-  /// The encoded database, one row per vector.
-  const CodeMatrix& codes() const { return codes_; }
-  /// Coarse quantizer over the projected space; cell c holds lists()[c].
+  /// The encoded database: the one blocked copy of the codes, in
+  /// inverted-list order (partition c = the members of coarse cell c).
+  const PartitionedCodes& store() const { return store_; }
+  /// Coarse quantizer over the projected space.
   const KMeans& coarse() const { return coarse_; }
-  const std::vector<std::vector<uint32_t>>& lists() const { return lists_; }
 
   /// k-NN over the `nprobe` nearest lists (0 = the configured default;
   /// nprobe >= coarse_k degenerates to a full early-abandoned scan).
@@ -62,9 +62,10 @@ class VaqIvfIndex {
                 SearchStats* stats = nullptr) const;
 
   /// Deadline-aware / cancellable variant: the budget and token in
-  /// `control` are checked between coarse cells and between 64-row blocks
-  /// inside each probed list, with the same degrade-vs-strict semantics
-  /// as VaqIndex (DESIGN.md §9).
+  /// `control` are checked after projection, LUT build and cell ranking,
+  /// then between coarse cells and between 64-row blocks inside each
+  /// probed list, with the same degrade-vs-strict semantics as VaqIndex
+  /// (DESIGN.md §9).
   Status Search(const float* query, size_t k, size_t nprobe,
                 const QueryControl& control, SearchScratch* scratch,
                 std::vector<Neighbor>* out,
@@ -88,26 +89,26 @@ class VaqIvfIndex {
   static Result<VaqIvfIndex> Load(const std::string& path);
 
   /// Semantic consistency: the encoder's checks, codebook/code
-  /// agreement, a positive default nprobe, coarse centroid shape, and the
-  /// inverted lists covering every row exactly once.
+  /// agreement, a positive default nprobe, coarse centroid shape, and one
+  /// inverted list per coarse cell. (That the lists cover every row
+  /// exactly once is checked when the store is built.)
   Status ValidateInvariants() const;
 
  private:
+  /// ValidateInvariants given `codes`, the store's codes row-major.
+  Status CheckInvariants(const CodeMatrix& codes) const;
   /// Reads every section of a container or legacy v0 file.
   Status LoadSections(const SectionSource& source);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
   void SaveListsSection(std::ostream& os) const;
-  Status LoadListsSection(std::istream& is);
-  /// (Re)builds the per-list blocked code layouts after Train/Load.
-  void BuildScanStructures();
+  static Status LoadListsSection(std::istream& is,
+                                 std::vector<std::vector<uint32_t>>* lists);
 
   VaqIvfOptions options_;
   VaqEncoder encoder_;
-  CodeMatrix codes_;
-  KMeans coarse_;                            ///< over projected vectors
-  std::vector<std::vector<uint32_t>> lists_; ///< ids per coarse cell
-  std::vector<BlockedCodes> list_blocked_;   ///< scan views of lists_
+  KMeans coarse_;           ///< over projected vectors
+  PartitionedCodes store_;  ///< the codes, blocked once in list order
 };
 
 }  // namespace vaq

@@ -22,7 +22,6 @@
 #include "core/allocation.h"
 #include "core/balance.h"
 #include "core/codebook.h"
-#include "core/packed_codes.h"
 #include "core/scan.h"
 #include "core/subspace.h"
 #include "core/ti_partition.h"

@@ -221,21 +221,27 @@ TEST_F(SearchDeadlineTest, MidScanExpiryReturnsExactPrefixTopK) {
     SearchParams params;
     params.k = 10;
     params.mode = SearchMode::kHeap;
-    // Let exactly 5 block checks pass: the scan stops at row 5 * 64.
-    params.deadline = BudgetOfChecks(5);
+    // Let exactly 7 checks pass: the two before the scan (after projection
+    // and after the LUT build), then 5 block checks, so the scan stops at
+    // store position 5 * 64.
+    params.deadline = BudgetOfChecks(7);
     std::vector<Neighbor> partial;
     SearchStats stats;
     ASSERT_TRUE(Search(oracle, base_->row(3), params, &partial, &stats).ok());
     EXPECT_TRUE(stats.truncated);
     ASSERT_EQ(stats.rows_scanned, 5u * kScanBlockSize);
 
-    // Expected: the k best of rows [0, rows_scanned) under the full
-    // ranking's distances — the heap must hold exactly the prefix top-k.
+    // Expected: the k best of the rows at store positions
+    // [0, rows_scanned) under the full ranking's distances — the heap must
+    // hold exactly the prefix top-k.
+    const std::vector<uint32_t>& ids = index_->store().ids();
+    std::vector<bool> scanned(base_->rows(), false);
+    for (size_t pos = 0; pos < stats.rows_scanned; ++pos) {
+      scanned[ids[pos]] = true;
+    }
     std::vector<Neighbor> expected;
     for (const Neighbor& nb : ranking) {
-      if (nb.id < static_cast<int64_t>(stats.rows_scanned)) {
-        expected.push_back(nb);
-      }
+      if (scanned[static_cast<size_t>(nb.id)]) expected.push_back(nb);
     }
     ASSERT_GE(expected.size(), params.k);
     expected.resize(params.k);
@@ -243,6 +249,62 @@ TEST_F(SearchDeadlineTest, MidScanExpiryReturnsExactPrefixTopK) {
     for (size_t i = 0; i < params.k; ++i) {
       EXPECT_EQ(partial[i].id, expected[i].id);
       EXPECT_FLOAT_EQ(partial[i].distance, expected[i].distance);
+    }
+  }
+}
+
+TEST_F(SearchDeadlineTest, BudgetOfZeroChecksStopsBeforeTheLutBuild) {
+  // The first check follows projection, so a budget of 0 checks ends the
+  // query before any LUT is built or partition ranked — on both paths.
+  for (bool oracle : {false, true}) {
+    SearchParams params;
+    params.k = 10;
+    params.mode = SearchMode::kTriangleInequality;
+    params.deadline = BudgetOfChecks(0);
+    SetTracingEnabled(true);
+    QueryTrace trace;
+    params.trace = &trace;
+    std::vector<Neighbor> result(1);
+    SearchStats stats;
+    const Status st = Search(oracle, base_->row(2), params, &result, &stats);
+    SetTracingEnabled(false);
+    ASSERT_TRUE(st.ok());
+    EXPECT_TRUE(stats.truncated);
+    EXPECT_TRUE(result.empty());
+    EXPECT_EQ(stats.rows_scanned, 0u);
+    if (!oracle) {  // the oracle does not trace
+      EXPECT_TRUE(trace.HasPhase(QueryPhase::kProject));
+      EXPECT_FALSE(trace.HasPhase(QueryPhase::kLutBuild));
+      EXPECT_FALSE(trace.HasPhase(QueryPhase::kPartitionRank));
+      EXPECT_FALSE(trace.HasPhase(QueryPhase::kBlockScan));
+    }
+  }
+}
+
+TEST_F(SearchDeadlineTest, OneBudgetGivesOneResultOnBothPaths) {
+  // The oracle checks where production does, so any budget stops both at
+  // the same point with the same best-so-far.
+  for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
+                          SearchMode::kTriangleInequality}) {
+    for (int64_t checks : {1, 2, 3, 4, 9, 20}) {
+      std::vector<Neighbor> got[2];
+      SearchStats stats[2];
+      for (bool oracle : {false, true}) {
+        SearchParams params;
+        params.k = 10;
+        params.mode = mode;
+        params.visit_fraction = 1.0;
+        params.deadline = BudgetOfChecks(checks);
+        ASSERT_TRUE(Search(oracle, base_->row(13), params, &got[oracle],
+                           &stats[oracle])
+                        .ok());
+      }
+      EXPECT_EQ(stats[0].truncated, stats[1].truncated)
+          << "mode " << static_cast<int>(mode) << ", " << checks
+          << " checks";
+      EXPECT_EQ(stats[0].partitions_visited, stats[1].partitions_visited);
+      EXPECT_EQ(got[0], got[1]) << "mode " << static_cast<int>(mode) << ", "
+                                << checks << " checks";
     }
   }
 }
@@ -371,7 +433,9 @@ TEST_F(SearchDeadlineTest, TruncationReportDescribesPartitionProgress) {
   params.k = 10;
   params.mode = SearchMode::kTriangleInequality;
   params.visit_fraction = 1.0;
-  params.deadline = BudgetOfChecks(3);
+  // 3 checks before the scan (after projection, LUT build and ranking),
+  // then 3 more inside it.
+  params.deadline = BudgetOfChecks(6);
   // Trace the truncated query too: even a query stopped mid-scan must
   // leave a coherent phase record (full setup phases, partial scan).
   SetTracingEnabled(true);
@@ -430,20 +494,31 @@ const VaqIvfIndex* IvfDeadlineTest::index_ = nullptr;
 TEST_F(IvfDeadlineTest, ZeroBudgetTruncates) {
   QueryControl control;
   control.deadline = Deadline::Expired();
+  SetTracingEnabled(true);
+  QueryTrace trace;
+  control.trace = &trace;
   SearchScratch scratch;
   std::vector<Neighbor> result(1);
   SearchStats stats;
-  ASSERT_TRUE(index_->Search(base_->row(0), 10, 32, control, &scratch,
-                             &result, &stats).ok());
+  const Status st = index_->Search(base_->row(0), 10, 32, control, &scratch,
+                                   &result, &stats);
+  SetTracingEnabled(false);
+  ASSERT_TRUE(st.ok());
   EXPECT_TRUE(stats.truncated);
   EXPECT_TRUE(result.empty());
   EXPECT_EQ(stats.partitions_visited, 0u);
   EXPECT_EQ(stats.partitions_total, 32u);
+  // The first check follows projection: no LUT is built, no cell ranked.
+  EXPECT_TRUE(trace.HasPhase(QueryPhase::kProject));
+  EXPECT_FALSE(trace.HasPhase(QueryPhase::kLutBuild));
+  EXPECT_FALSE(trace.HasPhase(QueryPhase::kPartitionRank));
 }
 
 TEST_F(IvfDeadlineTest, PartialBudgetVisitsSomeCellsAndStaysExact) {
   QueryControl control;
-  control.deadline = BudgetOfChecks(4);
+  // 3 checks before the scan (after projection, LUT build and ranking),
+  // then 4 between cells and blocks.
+  control.deadline = BudgetOfChecks(7);
   SearchScratch scratch;
   std::vector<Neighbor> result;
   SearchStats stats;

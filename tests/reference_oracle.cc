@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "common/deadline.h"
@@ -10,15 +11,16 @@
 namespace vaq {
 namespace {
 
-/// Early abandoning distance accumulation (Algorithm 4 lines 38-41).
-/// Accumulates lookup-table entries subspace by subspace, checking the
-/// best-so-far threshold every `interval` subspaces (the paper checks
-/// every four to amortize the branch). Returns the partial sum; the caller
-/// pushes only if it stayed below the threshold, so an abandoned
-/// accumulation is never mistaken for a full distance.
-float EarlyAbandonAdc(const VariableCodebooks& books, const uint16_t* code,
-                      const float* lut, float threshold_sq, size_t s_limit,
-                      size_t interval, SearchStats* stats) {
+/// Early abandoning distance accumulation (Algorithm 4 lines 38-41) of
+/// row `id` into `heap`. Accumulates lookup-table entries subspace by
+/// subspace, checking the best-so-far threshold every `interval`
+/// subspaces (the paper checks every four to amortize the branch), and
+/// abandons only once the partial sum exceeds it: a distance equal to the
+/// threshold may still win its tie by id. Only a full distance is pushed.
+void EarlyAbandonPush(const VariableCodebooks& books, const uint16_t* code,
+                      int64_t id, const float* lut, size_t s_limit,
+                      size_t interval, TopKHeap* heap, SearchStats* stats) {
+  const float threshold_sq = heap->Threshold();
   float acc = 0.f;
   size_t s = 0;
   while (s < s_limit) {
@@ -26,13 +28,15 @@ float EarlyAbandonAdc(const VariableCodebooks& books, const uint16_t* code,
     for (; s < stop; ++s) {
       acc += lut[books.lut_offset(s) + code[s]];
     }
-    if (acc >= threshold_sq) break;
+    if (acc > threshold_sq) break;
   }
   if (stats != nullptr) {
     stats->lut_adds += s;
-    if (s == s_limit) ++stats->rows_scanned;
+    ++stats->codes_visited;
   }
-  return acc;
+  if (s < s_limit) return;
+  if (stats != nullptr) ++stats->rows_scanned;
+  heap->Push(acc, id);
 }
 
 /// Projects `query` and builds its lookup table with `encoder`.
@@ -45,12 +49,15 @@ std::vector<float> QueryLut(const VaqEncoder& encoder, const float* query,
   return lut;
 }
 
-/// Fills `heap` by the row-at-a-time scan of `index` in `params.mode`.
+/// Fills `heap` by the row-at-a-time scan of `index` in `params.mode`,
+/// in store order (VaqIndex::store()).
 void ScanRows(const VaqIndex& index, const float* projected,
               const std::vector<float>& lut, const SearchParams& params,
               TopKHeap* heap, SearchStats* stats, StopController* stop) {
   const VariableCodebooks& books = index.codebooks();
-  const CodeMatrix& codes = index.codes();
+  const PartitionedCodes& store = index.store();
+  const CodeMatrix codes = store.RowCodes();
+  const std::vector<uint32_t>& ids = store.ids();
   const size_t m = index.num_subspaces();
   const size_t s_limit = params.num_subspaces_used == 0
                              ? m
@@ -63,17 +70,17 @@ void ScanRows(const VaqIndex& index, const float* projected,
   const size_t n = codes.rows();
 
   if (mode == SearchMode::kHeap) {
-    for (size_t r = 0; r < n; ++r) {
-      // Same check granularity as the blocked kernels: every 64 rows.
-      if (stop != nullptr && r % kScanBlockSize == 0 && stop->ShouldStop()) {
+    for (size_t pos = 0; pos < n; ++pos) {
+      // Same check granularity as the blocked kernels: every 64 positions.
+      if (stop != nullptr && pos % kScanBlockSize == 0 && stop->ShouldStop()) {
         return;
       }
-      const uint16_t* code = codes.row(r);
+      const uint16_t* code = codes.row(ids[pos]);
       float acc = 0.f;
       for (size_t s = 0; s < s_limit; ++s) {
         acc += lut[books.lut_offset(s) + code[s]];
       }
-      heap->Push(acc, static_cast<int64_t>(r));
+      heap->Push(acc, static_cast<int64_t>(ids[pos]));
       if (stats != nullptr) {
         ++stats->codes_visited;
         stats->lut_adds += s_limit;
@@ -84,15 +91,12 @@ void ScanRows(const VaqIndex& index, const float* projected,
   }
 
   if (mode == SearchMode::kEarlyAbandon) {
-    for (size_t r = 0; r < n; ++r) {
-      if (stop != nullptr && r % kScanBlockSize == 0 && stop->ShouldStop()) {
+    for (size_t pos = 0; pos < n; ++pos) {
+      if (stop != nullptr && pos % kScanBlockSize == 0 && stop->ShouldStop()) {
         return;
       }
-      const float threshold = heap->Threshold();
-      const float acc = EarlyAbandonAdc(books, codes.row(r), lut.data(),
-                                        threshold, s_limit, interval, stats);
-      if (acc < threshold) heap->Push(acc, static_cast<int64_t>(r));
-      if (stats != nullptr) ++stats->codes_visited;
+      EarlyAbandonPush(books, codes.row(ids[pos]), ids[pos], lut.data(),
+                       s_limit, interval, heap, stats);
     }
     return;
   }
@@ -116,13 +120,15 @@ void ScanRows(const VaqIndex& index, const float* projected,
     stats->partitions_total = order.size();
     stats->partitions_visited = 0;  // plan stamped; nothing entered yet
   }
+  if (stop != nullptr && stop->ShouldStop()) return;
 
   for (size_t v = 0; v < visit; ++v) {
     if (stop != nullptr && stop->ShouldStop()) return;
     if (stats != nullptr) ++stats->partitions_visited;
     const size_t c = order[v];
-    const TiPartition::Cluster& cluster = ti.cluster(c);
-    if (cluster.ids.empty()) continue;
+    const size_t base = store.partition_begin(c);
+    const std::vector<float>& cached = ti.distances(c);
+    if (cached.empty()) continue;
     const float dq = query_to_cluster[c];
 
     // Members that can beat the best-so-far satisfy
@@ -130,28 +136,24 @@ void ScanRows(const VaqIndex& index, const float* projected,
     // The cached distances are sorted, so locate the window once and keep
     // tightening its upper end as the threshold improves.
     size_t begin = 0;
-    size_t end = cluster.ids.size();
+    size_t end = cached.size();
     if (heap->full()) {
       const float r = std::sqrt(heap->Threshold());
-      begin = std::lower_bound(cluster.distances.begin(),
-                               cluster.distances.end(), dq - r) -
-              cluster.distances.begin();
-      end = std::upper_bound(cluster.distances.begin(),
-                             cluster.distances.end(), dq + r) -
-            cluster.distances.begin();
+      begin = std::lower_bound(cached.begin(), cached.end(), dq - r) -
+              cached.begin();
+      end = std::upper_bound(cached.begin(), cached.end(), dq + r) -
+            cached.begin();
       if (stats != nullptr) {
-        stats->codes_skipped_ti += cluster.ids.size() - (end - begin);
+        stats->codes_skipped_ti += cached.size() - (end - begin);
       }
     }
+    // The blocked scan checks the deadline once per store block it scans
+    // in; check before the first row scanned in each block.
+    size_t checked_block = SIZE_MAX;
     for (size_t i = begin; i < end; ++i) {
-      if (stop != nullptr && (i - begin) % kScanBlockSize == 0 &&
-          i != begin && stop->ShouldStop()) {
-        return;
-      }
-      const float threshold = heap->Threshold();
       if (heap->full()) {
-        const float r = std::sqrt(threshold);
-        const float dx = cluster.distances[i];
+        const float r = std::sqrt(heap->Threshold());
+        const float dx = cached[i];
         if (dx >= dq + r) {
           // Sorted ascending: every later member is also out of range.
           if (stats != nullptr) stats->codes_skipped_ti += end - i;
@@ -162,11 +164,14 @@ void ScanRows(const VaqIndex& index, const float* projected,
           continue;
         }
       }
-      const uint32_t id = cluster.ids[i];
-      const float acc = EarlyAbandonAdc(books, codes.row(id), lut.data(),
-                                        threshold, m, interval, stats);
-      if (acc < threshold) heap->Push(acc, static_cast<int64_t>(id));
-      if (stats != nullptr) ++stats->codes_visited;
+      const size_t block = (base + i) / kScanBlockSize;
+      if (stop != nullptr && block != checked_block) {
+        checked_block = block;
+        if (stop->ShouldStop()) return;
+      }
+      const uint32_t id = ids[base + i];
+      EarlyAbandonPush(books, codes.row(id), id, lut.data(), m, interval,
+                       heap, stats);
     }
   }
 }
@@ -179,10 +184,17 @@ Status ReferenceSearch(const VaqIndex& index, const float* query,
   const SearchStats before = stats != nullptr ? *stats : SearchStats{};
   StopController stop(params.deadline, params.cancel_token);
   StopController* stop_ptr = stop.armed() ? &stop : nullptr;
-  std::vector<float> projected;
-  const std::vector<float> lut = QueryLut(index.encoder(), query, &projected);
+  // The same check points as VaqIndex::Search: after projection, after
+  // the LUT build and (TI) after ranking, then inside the scan.
+  std::vector<float> projected, pca_space, lut;
+  index.encoder().ProjectQuery(query, &pca_space, &projected);
   TopKHeap heap(params.k);
-  ScanRows(index, projected.data(), lut, params, &heap, stats, stop_ptr);
+  if (stop_ptr == nullptr || !stop_ptr->ShouldStop()) {
+    index.codebooks().BuildLookupTable(projected.data(), &lut);
+    if (stop_ptr == nullptr || !stop_ptr->ShouldStop()) {
+      ScanRows(index, projected.data(), lut, params, &heap, stats, stop_ptr);
+    }
+  }
   return FinalizeSearchResult(stop_ptr, params.strict_deadline, &heap, out,
                               stats, before, /*trace=*/nullptr,
                               /*wall_micros=*/0.0, /*cpu_micros=*/0.0);
@@ -220,16 +232,17 @@ Status ReferenceIvfSearch(const VaqIvfIndex& index, const float* query,
     stats->partitions_visited = 0;
   }
 
+  const PartitionedCodes& store = index.store();
+  const CodeMatrix codes = store.RowCodes();
   TopKHeap heap(k);
   for (size_t v = 0; v < nprobe; ++v) {
     if (stats != nullptr) ++stats->partitions_visited;
-    for (uint32_t id : index.lists()[order[v]]) {
-      const float threshold = heap.Threshold();
-      const float acc =
-          EarlyAbandonAdc(books, index.codes().row(id), lut.data(), threshold,
-                          books.num_subspaces(), /*interval=*/4, stats);
-      if (acc < threshold) heap.Push(acc, static_cast<int64_t>(id));
-      if (stats != nullptr) ++stats->codes_visited;
+    const size_t c = order[v];
+    for (size_t pos = store.partition_begin(c); pos < store.partition_end(c);
+         ++pos) {
+      const uint32_t id = store.ids()[pos];
+      EarlyAbandonPush(books, codes.row(id), id, lut.data(),
+                       books.num_subspaces(), /*interval=*/4, &heap, stats);
     }
   }
   return FinalizeSearchResult(/*stop=*/nullptr, /*strict_deadline=*/false,

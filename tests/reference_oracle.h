@@ -18,10 +18,14 @@
 
 namespace vaq {
 
-/// Row-at-a-time VaqIndex::Search. Honors every SearchParams field except
-/// `kernel` and `trace`; the deadline and cancellation are checked every
-/// 64 rows and between TI clusters, the production granularity. Work
-/// counters are row-granular, so they may differ from the blocked scan's.
+/// Row-at-a-time VaqIndex::Search, visiting rows in store order (the
+/// positions of VaqIndex::store(), read through its id map). Honors every
+/// SearchParams field except `kernel` and `trace`; the deadline and
+/// cancellation are checked where production checks them: after
+/// projection, after the LUT build, after TI ranking, every 64 store
+/// positions, between TI clusters and once per store block a TI window
+/// scans in. Work counters are row-granular, so they may differ from the
+/// blocked scan's.
 Status ReferenceSearch(const VaqIndex& index, const float* query,
                        const SearchParams& params, std::vector<Neighbor>* out,
                        SearchStats* stats = nullptr);

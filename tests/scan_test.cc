@@ -131,6 +131,47 @@ TEST(BlockedCodesTest, SubsetBuildFollowsIdOrder) {
   }
 }
 
+TEST(PartitionedCodesTest, BlocksPartitionsInOrderAndRestoresRowCodes) {
+  RawAdcProblem p = RawAdcProblem::Make(/*n=*/150, {4, 2, 7}, 17);
+  // Three partitions whose boundaries fall inside blocks, plus an empty one.
+  std::vector<std::vector<uint32_t>> partitions(4);
+  for (uint32_t r = 0; r < 150; ++r) partitions[(r * 7) % 3].push_back(r);
+  std::swap(partitions[1], partitions[3]);
+  auto store = PartitionedCodes::Build(p.codes, partitions);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_EQ(store->rows(), 150u);
+  ASSERT_EQ(store->num_partitions(), 4u);
+  size_t pos = 0;
+  for (size_t c = 0; c < partitions.size(); ++c) {
+    EXPECT_EQ(store->partition_begin(c), pos);
+    for (uint32_t id : partitions[c]) {
+      EXPECT_EQ(store->ids()[pos], id);
+      for (size_t s = 0; s < 3; ++s) {
+        EXPECT_EQ(store->blocked().code(pos, s), p.codes(id, s));
+      }
+      ++pos;
+    }
+    EXPECT_EQ(store->partition_end(c), pos);
+  }
+  // One blocked copy: 2 bytes x m x 64 x ceil(n / 64).
+  EXPECT_EQ(store->blocked().bytes(), 2u * 3u * 64u * 3u);
+  EXPECT_TRUE(store->RowCodes() == p.codes);
+}
+
+TEST(PartitionedCodesTest, RejectsIdsThatAreNotAPartition) {
+  RawAdcProblem p = RawAdcProblem::Make(/*n=*/5, {3}, 19);
+  const std::vector<std::vector<std::vector<uint32_t>>> bad = {
+      {{0, 1, 2}, {3}},           // row 4 missing
+      {{0, 1, 2}, {3, 4, 1}},     // row 1 twice
+      {{0, 1, 2, 3}, {4, 5}},     // id out of range
+  };
+  for (const auto& partitions : bad) {
+    auto store = PartitionedCodes::Build(p.codes, partitions);
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().code(), StatusCode::kInternal);
+  }
+}
+
 class KernelEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
@@ -346,6 +387,61 @@ TEST_F(ScanSearchEquivalenceTest, AddRebuildsBlockedLayout) {
   params.k = 10;
   params.mode = SearchMode::kHeap;
   ExpectMatchesOracle(params);
+}
+
+TEST_F(ScanSearchEquivalenceTest, IndexHoldsOneBlockedCopyOfItsCodes) {
+  const size_t m = index_.num_subspaces();
+  const size_t blocks = (index_.size() + kScanBlockSize - 1) / kScanBlockSize;
+  EXPECT_EQ(index_.code_bytes(), 2 * m * kScanBlockSize * blocks);
+  // The store's partitions are the TI clusters, member for member.
+  const PartitionedCodes& store = index_.store();
+  ASSERT_EQ(store.num_partitions(), index_.ti_partition().num_clusters());
+  for (size_t c = 0; c < store.num_partitions(); ++c) {
+    EXPECT_EQ(store.partition_end(c) - store.partition_begin(c),
+              index_.ti_partition().distances(c).size());
+  }
+}
+
+TEST(DuplicateHeavyEquivalenceTest, HeapAndEaMatchOracleOnTies) {
+  // Tiled rows, as in VaqStressTest.DuplicateHeavyData: every code occurs
+  // ten times, so most top-k boundaries fall inside a run of equal
+  // distances and only the (distance, id) order decides the answer. The
+  // store's cluster order differs from row order, so an answer that
+  // depended on scan order would differ from the oracle's.
+  const FloatMatrix base = GenerateSpectrumMixture(
+      40, 8, PowerLawSpectrum(8, 1.2), 4, 1.0, 7);
+  FloatMatrix tiled(400, 8);
+  for (size_t r = 0; r < 400; ++r) {
+    std::copy_n(base.row(r % 40), 8, tiled.row(r));
+  }
+  VaqOptions opts;
+  opts.num_subspaces = 4;
+  opts.total_bits = 20;
+  opts.ti_clusters = 16;
+  opts.kmeans_iters = 5;
+  auto index = VaqIndex::Train(tiled, opts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon}) {
+    for (size_t k : {5, 15, 25}) {
+      for (size_t q = 0; q < 8; ++q) {
+        SearchParams params;
+        params.k = k;
+        params.mode = mode;
+        std::vector<Neighbor> want, got;
+        ASSERT_TRUE(
+            ReferenceSearch(*index, tiled.row(q * 7), params, &want).ok());
+        ASSERT_TRUE(index->Search(tiled.row(q * 7), params, &got).ok());
+        EXPECT_EQ(want, got) << "mode " << static_cast<int>(mode)
+                             << " k=" << k << " q=" << q;
+        // Ties resolve to the smallest ids.
+        for (size_t i = 1; i < got.size(); ++i) {
+          if (got[i].distance == got[i - 1].distance) {
+            EXPECT_LT(got[i - 1].id, got[i].id);
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -32,20 +32,22 @@ class TiPartitionTest : public ::testing::Test {
     topts.num_clusters = 16;
     topts.prefix_subspaces = 2;
     topts.seed = 9;
-    ASSERT_TRUE(ti_.Build(codes_, books_, topts).ok());
+    ASSERT_TRUE(ti_.Build(codes_, books_, topts, &members_).ok());
   }
 
   FloatMatrix data_;
   VariableCodebooks books_;
   CodeMatrix codes_;
   TiPartition ti_;
+  std::vector<std::vector<uint32_t>> members_;  ///< ids per cluster
 };
 
 TEST_F(TiPartitionTest, EveryIdAppearsExactlyOnce) {
   std::set<uint32_t> seen;
   size_t total = 0;
+  ASSERT_EQ(members_.size(), ti_.num_clusters());
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    for (uint32_t id : ti_.cluster(c).ids) {
+    for (uint32_t id : members_[c]) {
       EXPECT_TRUE(seen.insert(id).second) << "duplicate id " << id;
       ++total;
     }
@@ -55,11 +57,11 @@ TEST_F(TiPartitionTest, EveryIdAppearsExactlyOnce) {
 
 TEST_F(TiPartitionTest, ClusterDistancesSortedAscending) {
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    const auto& dists = ti_.cluster(c).distances;
+    const auto& dists = ti_.distances(c);
     for (size_t i = 1; i < dists.size(); ++i) {
       EXPECT_LE(dists[i - 1], dists[i]);
     }
-    EXPECT_EQ(dists.size(), ti_.cluster(c).ids.size());
+    EXPECT_EQ(dists.size(), members_[c].size());
   }
 }
 
@@ -69,13 +71,12 @@ TEST_F(TiPartitionTest, MembersAssignedToNearestCentroid) {
   std::vector<float> decoded(books_.dim());
   const size_t pd = ti_.prefix_dims();
   for (size_t c = 0; c < std::min<size_t>(4, ti_.num_clusters()); ++c) {
-    const auto& cluster = ti_.cluster(c);
-    for (size_t i = 0; i < std::min<size_t>(5, cluster.ids.size()); ++i) {
-      const uint32_t id = cluster.ids[i];
-      books_.DecodeRow(codes_.row(id), decoded.data());
+    const std::vector<uint32_t>& ids = members_[c];
+    for (size_t i = 0; i < std::min<size_t>(5, ids.size()); ++i) {
+      books_.DecodeRow(codes_.row(ids[i]), decoded.data());
       const float own = std::sqrt(
           SquaredL2(decoded.data(), ti_.centroids().row(c), pd));
-      EXPECT_NEAR(cluster.distances[i], own, 1e-3f);
+      EXPECT_NEAR(ti_.distances(c)[i], own, 1e-3f);
       for (size_t other = 0; other < ti_.num_clusters(); ++other) {
         const float dist = std::sqrt(
             SquaredL2(decoded.data(), ti_.centroids().row(other), pd));
@@ -109,12 +110,12 @@ TEST_F(TiPartitionTest, TriangleInequalityBoundHolds) {
   ti_.QueryDistances(query.data(), &qdists);
   std::vector<float> decoded(books_.dim());
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    const auto& cluster = ti_.cluster(c);
-    for (size_t i = 0; i < cluster.ids.size(); ++i) {
-      books_.DecodeRow(codes_.row(cluster.ids[i]), decoded.data());
+    const std::vector<uint32_t>& ids = members_[c];
+    for (size_t i = 0; i < ids.size(); ++i) {
+      books_.DecodeRow(codes_.row(ids[i]), decoded.data());
       const float prefix_dist = std::sqrt(SquaredL2(
           query.data(), decoded.data(), ti_.prefix_dims()));
-      const float bound = std::fabs(qdists[c] - cluster.distances[i]);
+      const float bound = std::fabs(qdists[c] - ti_.distances(c)[i]);
       EXPECT_LE(bound, prefix_dist + 1e-2f);
       const float full_dist =
           std::sqrt(SquaredL2(query.data(), decoded.data(), books_.dim()));
@@ -124,16 +125,22 @@ TEST_F(TiPartitionTest, TriangleInequalityBoundHolds) {
 }
 
 TEST_F(TiPartitionTest, SaveLoadRoundtrip) {
+  // The member ids are saved from the code store built over the clusters.
+  auto store = PartitionedCodes::Build(codes_, members_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
   std::stringstream ss;
-  ti_.Save(ss);
+  ti_.Save(ss, *store);
   TiPartition loaded;
-  ASSERT_TRUE(loaded.Load(ss).ok());
+  std::vector<std::vector<uint32_t>> loaded_members;
+  ASSERT_TRUE(loaded.Load(ss, &loaded_members).ok());
   EXPECT_EQ(loaded.num_clusters(), ti_.num_clusters());
   EXPECT_EQ(loaded.prefix_subspaces(), ti_.prefix_subspaces());
   EXPECT_TRUE(loaded.centroids() == ti_.centroids());
+  EXPECT_EQ(loaded_members, members_);
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    EXPECT_EQ(loaded.cluster(c).ids, ti_.cluster(c).ids);
+    EXPECT_EQ(loaded.distances(c), ti_.distances(c));
   }
+  EXPECT_TRUE(loaded.ValidateInvariants(*store, 4, ti_.prefix_dims()).ok());
 }
 
 TEST_F(TiPartitionTest, ClusterCountCappedByRows) {
@@ -142,19 +149,21 @@ TEST_F(TiPartitionTest, ClusterCountCappedByRows) {
   TiPartitionOptions topts;
   topts.num_clusters = 100;
   topts.prefix_subspaces = 2;
-  ASSERT_TRUE(small.Build(tiny, books_, topts).ok());
+  std::vector<std::vector<uint32_t>> members;
+  ASSERT_TRUE(small.Build(tiny, books_, topts, &members).ok());
   EXPECT_EQ(small.num_clusters(), 3u);
 }
 
 TEST_F(TiPartitionTest, RejectsBadInputs) {
   TiPartition bad;
   TiPartitionOptions topts;
+  std::vector<std::vector<uint32_t>> members;
   topts.num_clusters = 0;
-  EXPECT_FALSE(bad.Build(codes_, books_, topts).ok());
+  EXPECT_FALSE(bad.Build(codes_, books_, topts, &members).ok());
   topts.num_clusters = 4;
-  EXPECT_FALSE(bad.Build(CodeMatrix(), books_, topts).ok());
+  EXPECT_FALSE(bad.Build(CodeMatrix(), books_, topts, &members).ok());
   VariableCodebooks untrained;
-  EXPECT_FALSE(bad.Build(codes_, untrained, topts).ok());
+  EXPECT_FALSE(bad.Build(codes_, untrained, topts, &members).ok());
 }
 
 }  // namespace

@@ -67,6 +67,19 @@ TEST(TopKHeapTest, TiesBrokenById) {
   EXPECT_EQ(result[1].id, 5);
 }
 
+TEST(TopKHeapTest, TieAtThresholdWithSmallerIdIsKept) {
+  // Ties break by id whatever the push order: (1, 0) beats the kept
+  // (1, 5) although its distance only equals the threshold.
+  TopKHeap heap(2);
+  heap.Push(1.f, 5);
+  heap.Push(1.f, 3);
+  EXPECT_TRUE(heap.Push(1.f, 0));
+  const auto result = heap.TakeSorted();
+  ASSERT_EQ(result.size(), 2u);
+  EXPECT_EQ(result[0].id, 0);
+  EXPECT_EQ(result[1].id, 3);
+}
+
 TEST(TopKHeapTest, MatchesSortOnRandomInput) {
   Rng rng(77);
   std::vector<Neighbor> all;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "datasets/synthetic.h"
 #include "eval/ground_truth.h"
@@ -200,6 +204,43 @@ TEST_F(VaqIndexTest, AddAppendsSearchableVectors) {
   ASSERT_TRUE(index_.Search(extra.row(0), params, &result).ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_GE(result[0].id, 0);
+}
+
+std::vector<char> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST_F(VaqIndexTest, SaveLoadAfterAddAnswersAndResavesIdentically) {
+  // Add re-partitions and re-blocks the store; Save writes it back in the
+  // v1 layout, and Load must rebuild exactly the same index.
+  ASSERT_TRUE(index_.Add(SkewedData(150, 32, 556)).ok());
+  const std::string path = "/tmp/vaq_index_add_test.bin";
+  const std::string resaved = "/tmp/vaq_index_add_test_resaved.bin";
+  ASSERT_TRUE(index_.Save(path).ok());
+  auto loaded = VaqIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->size(), index_.size());
+  EXPECT_EQ(loaded->store().ids(), index_.store().ids());
+  for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
+                          SearchMode::kTriangleInequality}) {
+    SearchParams params;
+    params.k = 10;
+    params.mode = mode;
+    for (size_t q = 0; q < 5; ++q) {
+      std::vector<Neighbor> a, b;
+      ASSERT_TRUE(index_.Search(queries_.row(q), params, &a).ok());
+      ASSERT_TRUE(loaded->Search(queries_.row(q), params, &b).ok());
+      EXPECT_EQ(a, b) << "mode " << static_cast<int>(mode) << " q=" << q;
+    }
+  }
+  ASSERT_TRUE(loaded->Save(resaved).ok());
+  const std::vector<char> first = FileBytes(path);
+  EXPECT_FALSE(first.empty());
+  EXPECT_TRUE(first == FileBytes(resaved));
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 TEST(VaqIndexConfigTest, UniformAllocationMode) {

@@ -147,8 +147,8 @@ TEST(VaqIvfEncoderTest, MatchesVaqIndexEncoding) {
       EXPECT_LE(size_t{1} << b, c.data.rows()) << "dictionary above n";
     }
     EXPECT_EQ(ivf->encoder().permutation(), flat->encoder().permutation());
-    const CodeMatrix& a = flat->codes();
-    const CodeMatrix& b = ivf->codes();
+    const CodeMatrix a = flat->store().RowCodes();
+    const CodeMatrix b = ivf->store().RowCodes();
     ASSERT_EQ(a.rows(), b.rows());
     ASSERT_EQ(a.cols(), b.cols());
     EXPECT_TRUE(std::equal(a.data(), a.data() + a.size(), b.data()));

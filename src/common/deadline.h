@@ -159,17 +159,29 @@ class StopController {
 
 class QueryTrace;  // common/trace.h
 
-/// Execution-control knobs shared by every search entry point that does
-/// not take a full SearchParams (VaqIvfIndex and batch drivers).
+/// Execution controls of one query: the fields every search entry point
+/// takes, either directly (VaqIvfIndex, batch drivers) or as the base of
+/// SearchParams (VaqIndex). The defaults never stop a query and add no
+/// work to the hot path.
 struct QueryControl {
+  /// Wall-clock budget (absolute expiry; a copy handed to every query of
+  /// a batch enforces one shared batch deadline). Checked after
+  /// projection, after the LUT build and after partition ranking, then
+  /// between partitions and between 64-row blocks, so on expiry the query
+  /// returns the exact best-so-far top-k of the work done (DESIGN.md §9).
   Deadline deadline;
+  /// Cooperative cancellation, checked at the same points. A cancelled
+  /// query always fails with kCancelled.
   CancellationToken cancel_token;
-  /// Degrade-by-default: an expired deadline returns the best-so-far
-  /// top-k with SearchStats::truncated set. Strict mode instead fails the
-  /// query with StatusCode::kDeadlineExceeded and returns no results.
+  /// false (default): an expired deadline degrades gracefully — partial
+  /// results, OK status, SearchStats::truncated set. true: the query
+  /// fails with kDeadlineExceeded instead of returning partial results.
   bool strict_deadline = false;
-  /// Optional phase-timing sink (common/trace.h); nullptr = no tracing.
-  /// Not owned; must outlive the query.
+  /// Optional per-query phase-timing sink (common/trace.h). Only consulted
+  /// when process-wide tracing is enabled; nullptr (the default) keeps the
+  /// query path free of clock reads. Not owned; must outlive the call.
+  /// Batch entry points ignore it (queries run concurrently; a single
+  /// trace is not thread-safe).
   QueryTrace* trace = nullptr;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 
 #include "common/cpu_features.h"
 #include "common/log.h"
@@ -147,6 +148,23 @@ const ScanKernel& GetScanKernel(ScanKernelType type) {
 
 const char* AutoScanKernelName() {
   return GetScanKernel(ScanKernelType::kAuto).name;
+}
+
+void RankPartitions(const FloatMatrix& centroids, const float* query,
+                    size_t visit, std::vector<float>* dist,
+                    std::vector<size_t>* order) {
+  const size_t n = centroids.rows();
+  dist->resize(n);
+  for (size_t p = 0; p < n; ++p) {
+    (*dist)[p] = SquaredL2(query, centroids.row(p), centroids.cols());
+  }
+  order->resize(n);
+  std::iota(order->begin(), order->end(), size_t{0});
+  const float* d = dist->data();
+  std::partial_sort(order->begin(), order->begin() + std::min(visit, n),
+                    order->end(), [d](size_t a, size_t b) {
+                      return d[a] != d[b] ? d[a] < d[b] : a < b;
+                    });
 }
 
 void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,

@@ -25,24 +25,22 @@ struct SearchStats {
   size_t codes_skipped_ti = 0;   ///< codes pruned by the triangle inequality
   size_t lut_adds = 0;           ///< lookup-table additions performed
 
-  // Planned work, stamped once at query planning time (assignment, not
-  // accumulation): how many partitions the pruning policy *selected* for
-  // this query, out of how many the index has.
+  // The plan, stamped by SearchQuery before projection (assignment, not
+  // accumulation): how many partitions the index has and how many the
+  // pruning policy selected for this query. Both are 0 for a flat scan.
+  size_t partitions_total = 0;   ///< partitions in the index (0 = flat scan)
   size_t clusters_visited = 0;   ///< partitions the query planned to visit
-  size_t clusters_total = 0;     ///< partitions in the index
 
   // Degradation report (DESIGN.md §9): work *actually performed*,
   // accumulated as the scan runs. `partitions_visited` counts partitions
   // the scan entered, so it trails `clusters_visited` while a query runs
   // and equals it only for a query that was never stopped. The invariant
   // partitions_visited <= clusters_visited is checked in
-  // FinalizeSearchResult. Both pairs stay because they answer different
-  // questions: planned-vs-total is pruning power, entered-vs-planned is
-  // deadline progress.
+  // FinalizeSearchResult: planned-vs-total is pruning power,
+  // entered-vs-planned is deadline progress.
   bool truncated = false;         ///< stopped before the planned work finished
   size_t rows_scanned = 0;        ///< rows whose full distance was accumulated
   size_t partitions_visited = 0;  ///< TI clusters / IVF cells actually entered
-  size_t partitions_total = 0;    ///< partitions in the index (0 = flat scan)
   double wall_micros = 0.0;       ///< wall time of the Search() call
   double cpu_micros = 0.0;        ///< thread CPU time of the Search() call
 
@@ -178,11 +176,22 @@ struct SearchScratch {
   std::vector<float> lut;               ///< ADC lookup table
   std::vector<float> pca_space;         ///< query in PCA space
   std::vector<float> projected;         ///< query in permuted PCA space
-  std::vector<float> query_to_cluster;  ///< TI centroid distances
-  std::vector<size_t> order;            ///< TI cluster visit order
+  std::vector<float> partition_dist;    ///< squared centroid distances
+  std::vector<size_t> order;            ///< partition visit order
   TopKHeap heap{1};                     ///< reused best-so-far structure
   float acc[kScanBlockSize] = {};       ///< per-block partial sums
 };
+
+/// Ranks the partitions of an index for one query (DESIGN.md §7), the
+/// one ranking behind TI clusters and IVF lists: `dist[p]` is the squared
+/// L2 distance from `query` to row p of `centroids` over its
+/// centroids.cols() leading dimensions, and `order[0, visit)` holds the
+/// `visit` nearest partitions ascending by (distance, p) — ties go to the
+/// smaller partition index. Entries of `order` past `visit` are
+/// unspecified; `visit` is capped at centroids.rows().
+void RankPartitions(const FloatMatrix& centroids, const float* query,
+                    size_t visit, std::vector<float>* dist,
+                    std::vector<size_t>* order);
 
 /// Full blocked scan (SearchMode::kHeap): accumulates all `s_limit`
 /// subspaces for every row of `bc` and pushes every distance. `ids` maps

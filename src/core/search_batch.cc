@@ -17,14 +17,27 @@ Status FirstError(const std::vector<Status>& statuses) {
 
 }  // namespace
 
-Status RunSearchBatch(
-    size_t num_queries, size_t num_threads,
-    const std::function<Status(size_t, SearchScratch*)>& run_query,
-    std::vector<Status>* statuses) {
+Status RunSearchBatch(const FloatMatrix& queries, size_t dim,
+                      size_t num_threads, const BatchQueryFn& run_query,
+                      std::vector<std::vector<Neighbor>>* results,
+                      std::vector<Status>* statuses,
+                      std::vector<SearchStats>* query_stats) {
+  if (queries.cols() != dim) {
+    return Status::InvalidArgument("query dimension mismatch");
+  }
+  const size_t num_queries = queries.rows();
+  results->resize(num_queries);
+  if (query_stats != nullptr) query_stats->assign(num_queries, SearchStats{});
   if (num_queries == 0) {
     if (statuses != nullptr) statuses->clear();
     return Status::OK();
   }
+  // Runs query q into its own result and stats slots.
+  auto answer = [&](size_t q, SearchScratch* scratch) {
+    SearchStats* stats =
+        query_stats != nullptr ? &(*query_stats)[q] : nullptr;
+    return run_query(queries.row(q), scratch, &(*results)[q], stats);
+  };
   if (num_threads == 0) {
     num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
@@ -34,7 +47,7 @@ Status RunSearchBatch(
     if (statuses != nullptr) statuses->assign(num_queries, Status::OK());
     SearchScratch scratch;
     for (size_t q = 0; q < num_queries; ++q) {
-      const Status st = run_query(q, &scratch);
+      const Status st = answer(q, &scratch);
       if (statuses != nullptr) {
         (*statuses)[q] = st;
       } else if (!st.ok()) {
@@ -66,7 +79,7 @@ Status RunSearchBatch(
     const size_t end = std::min(num_queries, begin + chunk);
     if (begin >= end) break;
     group.Add();
-    const Status submitted = pool.Submit([&run_query, sts, begin, end,
+    const Status submitted = pool.Submit([&answer, sts, begin, end,
                                           &group] {
       // Each chunk owns its scratch; status slots are disjoint per chunk,
       // so no synchronization is needed to write them.
@@ -74,7 +87,7 @@ Status RunSearchBatch(
       try {
         SearchScratch scratch;
         for (; q < end; ++q) {
-          (*sts)[q] = run_query(q, &scratch);
+          (*sts)[q] = answer(q, &scratch);
         }
       } catch (...) {
         for (; q < end; ++q) {

@@ -112,17 +112,6 @@ Status TiPartition::Build(const CodeMatrix& codes,
   return Status::OK();
 }
 
-void TiPartition::QueryDistances(const float* projected_query,
-                                 std::vector<float>* out) const {
-  VAQ_DCHECK(built_);
-  const size_t pd = prefix_dims();
-  out->resize(num_clusters());
-  for (size_t c = 0; c < num_clusters(); ++c) {
-    (*out)[c] =
-        std::sqrt(SquaredL2(projected_query, centroids_.row(c), pd));
-  }
-}
-
 void TiPartition::Save(std::ostream& os,
                        const PartitionedCodes& store) const {
   WritePod<uint8_t>(os, built_ ? 1 : 0);

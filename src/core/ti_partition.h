@@ -58,13 +58,9 @@ class TiPartition {
     return distances_[c];
   }
 
-  /// Cluster centroids in decoded (prefix) float space.
+  /// Cluster centroids in decoded (prefix) float space; queries rank them
+  /// through RankPartitions (core/scan.h).
   const FloatMatrix& centroids() const { return centroids_; }
-
-  /// Non-squared prefix distances from a projected query to every cluster
-  /// centroid.
-  void QueryDistances(const float* projected_query,
-                      std::vector<float>* out) const;
 
   /// Writes the partition with each cluster's member ids, read from
   /// partition c of `store`.

@@ -8,7 +8,6 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/serialize.h"
-#include "common/timer.h"
 #include "core/search_batch.h"
 
 namespace vaq {
@@ -110,149 +109,6 @@ void VaqIndex::ProjectQuery(const float* query,
   encoder_.ProjectQuery(query, &pca_space, projected);
 }
 
-/// Blocked scan dispatch: all three SearchModes run on the transposed
-/// cache-blocked layout through a runtime-selected kernel. Accumulation
-/// order per row is identical to the row-at-a-time oracle in
-/// tests/reference_oracle.cc, so neighbors and distances match it bit for
-/// bit; only the work counters reflect the block-granular (rather than
-/// row-granular) abandoning decisions.
-void VaqIndex::SearchProjected(const float* projected,
-                               const SearchParams& params,
-                               SearchScratch* scratch, TopKHeap* heap,
-                               SearchStats* stats,
-                               StopController* stop) const {
-  const ScanKernel& kernel = GetScanKernel(params.kernel);
-  const VariableCodebooks& books = codebooks();
-  const uint32_t* lut_offsets = books.lut_offsets();
-
-  QueryTrace* trace = params.trace;
-  std::vector<float>& lut = scratch->lut;
-  {
-    TraceSpan span(trace, QueryPhase::kLutBuild);
-    books.BuildLookupTable(projected, &lut);
-  }
-  if (stop != nullptr && stop->ShouldStop()) return;
-
-  const size_t m = num_subspaces();
-  const size_t s_limit = params.num_subspaces_used == 0
-                             ? m
-                             : std::min(params.num_subspaces_used, m);
-  SearchMode mode = params.mode;
-  if (mode == SearchMode::kTriangleInequality && s_limit != m) {
-    mode = SearchMode::kEarlyAbandon;  // TI caches assume full distances
-  }
-  const size_t interval = std::max<size_t>(1, params.ea_check_interval);
-
-  // Heap and EA walk the whole store; its cluster order does not change
-  // their answers, because the heap keeps the k smallest (distance, id).
-  const BlockedCodes& blocked = store_.blocked();
-  const uint32_t* ids = store_.ids().data();
-  if (mode == SearchMode::kHeap) {
-    TraceSpan span(trace, QueryPhase::kBlockScan);
-    BlockedFullScan(blocked, ids, lut.data(), lut_offsets, s_limit, kernel,
-                    scratch->acc, heap, stats, stop);
-    return;
-  }
-
-  if (mode == SearchMode::kEarlyAbandon) {
-    TraceSpan span(trace, QueryPhase::kBlockScan);
-    BlockedEaScan(blocked, 0, blocked.rows(), ids, lut.data(), lut_offsets,
-                  s_limit, interval, kernel, scratch->acc, heap, stats, stop);
-    return;
-  }
-
-  // Triangle inequality cascade (Algorithm 4), block-wise: clusters are
-  // ranked by centroid distance, and within a cluster the sorted cached
-  // distances bound a candidate window that is re-tightened from the live
-  // threshold before each block rather than before each row.
-  TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
-  std::vector<float>& query_to_cluster = scratch->query_to_cluster;
-  ti_.QueryDistances(projected, &query_to_cluster);
-  std::vector<size_t>& order = scratch->order;
-  order.resize(ti_.num_clusters());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return query_to_cluster[a] < query_to_cluster[b];
-  });
-  const size_t visit = std::clamp<size_t>(
-      static_cast<size_t>(std::ceil(params.visit_fraction *
-                                    static_cast<double>(order.size()))),
-      1, order.size());
-  rank_span.Stop();
-  if (stats != nullptr) {
-    stats->clusters_total = order.size();
-    stats->clusters_visited = visit;
-    stats->partitions_total = order.size();
-    stats->partitions_visited = 0;  // plan stamped; nothing entered yet
-  }
-  if (stop != nullptr && stop->ShouldStop()) return;
-
-  // One span covers the whole visit loop: the window searches run between
-  // block scans, and per-chunk spans would cost more than the chunks. TI
-  // pruning shows in SearchStats::codes_skipped_ti.
-  TraceSpan scan_span(trace, QueryPhase::kBlockScan);
-  for (size_t v = 0; v < visit; ++v) {
-    // Between-partition check: on expiry the heap already holds the
-    // best-so-far over every partition (and partial block) completed.
-    if (stop != nullptr && stop->ShouldStop()) return;
-    if (stats != nullptr) ++stats->partitions_visited;
-    const size_t c = order[v];
-    // Cluster c is store positions [base, base + size); the window
-    // indexes below are relative to base.
-    const size_t base = store_.partition_begin(c);
-    const size_t size = store_.partition_end(c) - base;
-    if (size == 0) continue;
-    const float dq = query_to_cluster[c];
-    const float* cached = ti_.distances(c).data();
-
-    // Members that can beat the best-so-far satisfy
-    // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
-    size_t begin = 0;
-    size_t end = size;
-    if (heap->full()) {
-      const float r = std::sqrt(heap->Threshold());
-      begin = std::lower_bound(cached, cached + end, dq - r) - cached;
-      end = std::upper_bound(cached + begin, cached + end, dq + r) - cached;
-      if (stats != nullptr) stats->codes_skipped_ti += size - (end - begin);
-    }
-    size_t i = begin;
-    while (i < end) {
-      size_t stop_row = end;
-      if (heap->full()) {
-        const float r = std::sqrt(heap->Threshold());
-        // Leading members too close to the centroid cannot improve.
-        const size_t skip_to =
-            std::upper_bound(cached + i, cached + end, dq - r) - cached;
-        if (stats != nullptr) stats->codes_skipped_ti += skip_to - i;
-        i = skip_to;
-        if (i >= end) break;
-        // Sorted ascending: everything at or past dq + r is out of range.
-        stop_row =
-            std::lower_bound(cached + i, cached + end, dq + r) - cached;
-        if (stop_row == i) {
-          if (stats != nullptr) stats->codes_skipped_ti += end - i;
-          break;
-        }
-      }
-      // Scan to the nearer of the window edge and the store's next block
-      // boundary, so the window is re-tightened against the improved
-      // threshold before the next block starts.
-      const size_t chunk_end = std::min(
-          stop_row,
-          ((base + i) / kScanBlockSize + 1) * kScanBlockSize - base);
-      BlockedEaScan(blocked, base + i, base + chunk_end, ids, lut.data(),
-                    lut_offsets, m, interval, kernel, scratch->acc, heap,
-                    stats, stop);
-      if (stop != nullptr && stop->stopped()) return;
-      if (chunk_end == stop_row && stop_row < end) {
-        if (stats != nullptr) stats->codes_skipped_ti += end - stop_row;
-        break;
-      }
-      i = chunk_end;
-    }
-  }
-}
-
 Status VaqIndex::Search(const float* query, const SearchParams& params,
                         std::vector<Neighbor>* out,
                         SearchStats* stats) const {
@@ -261,16 +117,9 @@ Status VaqIndex::Search(const float* query, const SearchParams& params,
 }
 
 /// User-supplied SearchParams never abort: every reachable misuse maps to
-/// InvalidArgument (the same rule as for untrusted files).
+/// InvalidArgument (the same rule as for untrusted files). SearchQuery
+/// checks that the index is trained and k.
 Status VaqIndex::ValidateSearchParams(const SearchParams& params) const {
-  if (!encoder_.trained()) {
-    return Status::FailedPrecondition("index is not trained");
-  }
-  if (params.k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (params.k > size()) {
-    return Status::InvalidArgument("k exceeds the number of indexed "
-                                   "vectors");
-  }
   if (params.visit_fraction <= 0.0 || params.visit_fraction > 1.0) {
     return Status::InvalidArgument("visit_fraction must be in (0, 1]");
   }
@@ -296,31 +145,122 @@ Status VaqIndex::ValidateSearchParams(const SearchParams& params) const {
 Status VaqIndex::Search(const float* query, const SearchParams& params,
                         SearchScratch* scratch, std::vector<Neighbor>* out,
                         SearchStats* stats) const {
-  WallTimer timer;
-  CpuTimer cpu_timer(CpuTimer::Scope::kThread);
   VAQ_RETURN_IF_ERROR(ValidateSearchParams(params));
-  StopController stop(params.deadline, params.cancel_token);
-  StopController* stop_ptr = stop.armed() ? &stop : nullptr;
+  const size_t m = num_subspaces();
+  const size_t s_limit = params.num_subspaces_used == 0
+                             ? m
+                             : std::min(params.num_subspaces_used, m);
+  SearchMode mode = params.mode;
+  if (mode == SearchMode::kTriangleInequality && s_limit != m) {
+    mode = SearchMode::kEarlyAbandon;  // TI caches assume full distances
+  }
+  // TI ranks the clusters and visits ceil(visit_fraction * clusters) of
+  // them; heap and EA scan the whole store.
+  SearchPlan plan;
+  if (mode == SearchMode::kTriangleInequality) {
+    const size_t clusters = ti_.num_clusters();
+    plan.centroids = &ti_.centroids();
+    const double wanted =
+        std::ceil(params.visit_fraction * static_cast<double>(clusters));
+    plan.visit =
+        std::min(clusters, std::max<size_t>(1, static_cast<size_t>(wanted)));
+  }
+  return SearchQuery(encoder_, size(), query, params.k, plan, params,
+                     scratch, out, stats,
+                     [&](SearchScratch* s, SearchStats* st,
+                         StopController* stop, size_t partition) {
+                       Scan(params, mode, s_limit, partition, s, st, stop);
+                     });
+}
 
-  // Snapshot for telemetry deltas: callers may reuse `stats` across
-  // queries, so counters are fed as after-minus-before.
-  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
-  if (params.trace != nullptr) params.trace->Reset();
-  {
-    TraceSpan span(params.trace, QueryPhase::kProject);
-    encoder_.ProjectQuery(query, &scratch->pca_space, &scratch->projected);
+/// Blocked scan dispatch: all three SearchModes run on the transposed
+/// cache-blocked layout through a runtime-selected kernel. Accumulation
+/// order per row is identical to the row-at-a-time oracle in
+/// tests/reference_oracle.cc, so neighbors and distances match it bit for
+/// bit; only the work counters reflect the block-granular (rather than
+/// row-granular) abandoning decisions.
+void VaqIndex::Scan(const SearchParams& params, SearchMode mode,
+                    size_t s_limit, size_t partition, SearchScratch* scratch,
+                    SearchStats* stats, StopController* stop) const {
+  const ScanKernel& kernel = GetScanKernel(params.kernel);
+  const uint32_t* lut_offsets = codebooks().lut_offsets();
+  const float* lut = scratch->lut.data();
+  TopKHeap* heap = &scratch->heap;
+  const size_t interval = std::max<size_t>(1, params.ea_check_interval);
+
+  // Heap and EA walk the whole store; its cluster order does not change
+  // their answers, because the heap keeps the k smallest (distance, id).
+  const BlockedCodes& blocked = store_.blocked();
+  const uint32_t* ids = store_.ids().data();
+  if (mode == SearchMode::kHeap) {
+    BlockedFullScan(blocked, ids, lut, lut_offsets, s_limit, kernel,
+                    scratch->acc, heap, stats, stop);
+    return;
   }
-  scratch->heap.Reset(params.k);
-  // Deadline check points before the scan: here, after the LUT build and
-  // after partition ranking (SearchProjected).
-  if (stop_ptr == nullptr || !stop_ptr->ShouldStop()) {
-    SearchProjected(scratch->projected.data(), params, scratch,
-                    &scratch->heap, stats, stop_ptr);
+  if (mode == SearchMode::kEarlyAbandon) {
+    BlockedEaScan(blocked, 0, blocked.rows(), ids, lut, lut_offsets, s_limit,
+                  interval, kernel, scratch->acc, heap, stats, stop);
+    return;
   }
-  return FinalizeSearchResult(stop_ptr, params.strict_deadline,
-                              &scratch->heap, out, stats, before,
-                              params.trace, timer.ElapsedMicros(),
-                              cpu_timer.ElapsedMicros());
+
+  // Triangle inequality cascade (Algorithm 4), block-wise, over one of
+  // the clusters nearest the query (SearchQuery ranks them and calls this
+  // once per visited cluster): within the cluster the sorted cached
+  // distances bound a candidate window that is re-tightened from the live
+  // threshold before each block rather than before each row.
+  // The cluster is store positions [base, base + size); the window
+  // indexes below are relative to base.
+  const size_t base = store_.partition_begin(partition);
+  const size_t size = store_.partition_end(partition) - base;
+  if (size == 0) return;
+  const float dq = std::sqrt(scratch->partition_dist[partition]);
+  const float* cached = ti_.distances(partition).data();
+
+  // Members that can beat the best-so-far satisfy
+  // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
+  size_t begin = 0;
+  size_t end = size;
+  if (heap->full()) {
+    const float r = std::sqrt(heap->Threshold());
+    begin = std::lower_bound(cached, cached + end, dq - r) - cached;
+    end = std::upper_bound(cached + begin, cached + end, dq + r) - cached;
+    if (stats != nullptr) stats->codes_skipped_ti += size - (end - begin);
+  }
+  size_t i = begin;
+  while (i < end) {
+    size_t stop_row = end;
+    if (heap->full()) {
+      const float r = std::sqrt(heap->Threshold());
+      // Leading members too close to the centroid cannot improve.
+      const size_t skip_to =
+          std::upper_bound(cached + i, cached + end, dq - r) - cached;
+      if (stats != nullptr) stats->codes_skipped_ti += skip_to - i;
+      i = skip_to;
+      if (i >= end) break;
+      // Sorted ascending: everything at or past dq + r is out of range.
+      stop_row =
+          std::lower_bound(cached + i, cached + end, dq + r) - cached;
+      if (stop_row == i) {
+        if (stats != nullptr) stats->codes_skipped_ti += end - i;
+        break;
+      }
+    }
+    // Scan to the nearer of the window edge and the store's next block
+    // boundary, so the window is re-tightened against the improved
+    // threshold before the next block starts.
+    const size_t chunk_end = std::min(
+        stop_row,
+        ((base + i) / kScanBlockSize + 1) * kScanBlockSize - base);
+    BlockedEaScan(blocked, base + i, base + chunk_end, ids, lut, lut_offsets,
+                  s_limit, interval, kernel, scratch->acc, heap, stats,
+                  stop);
+    if (stop != nullptr && stop->stopped()) return;
+    if (chunk_end == stop_row && stop_row < end) {
+      if (stats != nullptr) stats->codes_skipped_ti += end - stop_row;
+      break;
+    }
+    i = chunk_end;
+  }
 }
 
 Result<std::vector<std::vector<Neighbor>>> VaqIndex::SearchBatch(
@@ -336,32 +276,21 @@ Status VaqIndex::SearchBatchInto(
     size_t num_threads, std::vector<std::vector<Neighbor>>* results,
     std::vector<Status>* statuses,
     std::vector<SearchStats>* query_stats) const {
-  if (queries.cols() != dim()) {
-    return Status::InvalidArgument("query dimension mismatch");
-  }
-  const size_t nq = queries.rows();
-  results->resize(nq);
-  if (query_stats != nullptr) query_stats->assign(nq, SearchStats{});
-  // Queries are independent; each chunk owns one scratch on the shared
-  // pool, so the per-query path stays allocation-free once warmed up.
   // params.deadline is an absolute expiry shared by every query: the
   // whole batch is bounded by one budget, and queries still queued when
   // it passes degrade (or strict-fail) at their first check point instead
-  // of wedging the batch.
-  // A single QueryTrace is not thread-safe, so the per-query workers do
-  // not share params.trace (batch callers trace via single-query calls).
+  // of wedging the batch. A single QueryTrace is not thread-safe, so the
+  // per-query workers do not share params.trace (batch callers trace via
+  // single-query calls).
   SearchParams query_params = params;
   query_params.trace = nullptr;
   return RunSearchBatch(
-      nq, num_threads,
-      [this, &queries, &query_params, results, query_stats](
-          size_t q, SearchScratch* scratch) {
-        SearchStats* stats =
-            query_stats != nullptr ? &(*query_stats)[q] : nullptr;
-        return Search(queries.row(q), query_params, scratch, &(*results)[q],
-                      stats);
+      queries, dim(), num_threads,
+      [this, &query_params](const float* query, SearchScratch* scratch,
+                            std::vector<Neighbor>* out, SearchStats* stats) {
+        return Search(query, query_params, scratch, out, stats);
       },
-      statuses);
+      results, statuses, query_stats);
 }
 
 void VaqIndex::SaveOptionsSection(std::ostream& os) const {

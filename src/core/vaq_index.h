@@ -26,7 +26,9 @@ enum class SearchMode {
   kTriangleInequality  ///< + data skipping (TI) cascading into EA
 };
 
-struct SearchParams {
+/// VaqIndex query parameters; the execution controls (deadline,
+/// cancellation, strict mode, trace) come from QueryControl.
+struct SearchParams : QueryControl {
   size_t k = 100;
   SearchMode mode = SearchMode::kTriangleInequality;
   /// Fraction of TI clusters visited (paper evaluates 0.25 and 0.1).
@@ -44,27 +46,6 @@ struct SearchParams {
   /// fastest one for this CPU. All choices return bit-identical neighbors
   /// and distances.
   ScanKernelType kernel = ScanKernelType::kAuto;
-  /// Wall-clock budget for this query (absolute expiry; a copy handed to
-  /// every query of a batch enforces one shared batch deadline). The
-  /// default never expires and adds zero overhead to the hot path.
-  /// Checked after projection, LUT build and partition ranking, then
-  /// between 64-row blocks and between TI partitions, so on expiry the
-  /// query returns the meaningful best-so-far top-k accumulated so far
-  /// (DESIGN.md §9).
-  Deadline deadline;
-  /// Cooperative cancellation, checked at the same granularity. A
-  /// cancelled query always fails with kCancelled.
-  CancellationToken cancel_token;
-  /// false (default): an expired deadline degrades gracefully — partial
-  /// results, OK status, SearchStats::truncated set. true: the query
-  /// fails with kDeadlineExceeded instead of returning partial results.
-  bool strict_deadline = false;
-  /// Optional per-query phase-timing sink (common/trace.h). Only consulted
-  /// when process-wide tracing is enabled; nullptr (the default) keeps the
-  /// query path free of clock reads. Not owned; must outlive the call.
-  /// Batch entry points ignore it (queries run concurrently; a single
-  /// trace is not thread-safe).
-  QueryTrace* trace = nullptr;
 };
 
 /// Variance-Aware Quantization index: the paper's end-to-end system
@@ -181,9 +162,12 @@ class VaqIndex {
   Status CheckInvariants(const CodeMatrix& codes) const;
   Status ValidateSearchParams(const SearchParams& params) const;
   TiPartitionOptions TiOptions(size_t prefix_subspaces) const;
-  void SearchProjected(const float* projected, const SearchParams& params,
-                       SearchScratch* scratch, TopKHeap* heap,
-                       SearchStats* stats, StopController* stop) const;
+  /// The scan step of SearchQuery: scans into scratch->heap in `mode`
+  /// over `s_limit` subspaces — heap and EA the whole store, TI the one
+  /// ranked cluster `partition`.
+  void Scan(const SearchParams& params, SearchMode mode, size_t s_limit,
+            size_t partition, SearchScratch* scratch, SearchStats* stats,
+            StopController* stop) const;
 
   VaqOptions options_;
   VaqEncoder encoder_;

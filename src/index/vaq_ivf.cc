@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/io.h"
 #include "common/log.h"
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "common/serialize.h"
-#include "common/timer.h"
-#include "common/trace.h"
 #include "core/search_batch.h"
 
 namespace vaq {
@@ -210,108 +207,30 @@ Status VaqIvfIndex::Search(const float* query, size_t k, size_t nprobe,
                            std::vector<Neighbor>* out,
                            SearchStats* stats) const {
   SearchScratch scratch;
-  return Search(query, k, nprobe, &scratch, out, stats);
-}
-
-Status VaqIvfIndex::Search(const float* query, size_t k, size_t nprobe,
-                           SearchScratch* scratch, std::vector<Neighbor>* out,
-                           SearchStats* stats) const {
-  return Search(query, k, nprobe, QueryControl{}, scratch, out, stats);
+  return Search(query, k, nprobe, QueryControl{}, &scratch, out, stats);
 }
 
 Status VaqIvfIndex::Search(const float* query, size_t k, size_t nprobe,
                            const QueryControl& control,
                            SearchScratch* scratch, std::vector<Neighbor>* out,
                            SearchStats* stats) const {
-  WallTimer timer;
-  CpuTimer cpu_timer(CpuTimer::Scope::kThread);
-  if (!encoder_.trained()) {
-    return Status::FailedPrecondition("index is not trained");
-  }
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  if (k > size()) {
-    return Status::InvalidArgument("k exceeds the number of indexed "
-                                   "vectors");
-  }
   if (nprobe == 0) nprobe = options_.default_nprobe;
-  nprobe = std::min(nprobe, coarse_.k());
-  StopController stop_state(control.deadline, control.cancel_token);
-  StopController* stop = stop_state.armed() ? &stop_state : nullptr;
-
-  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
-  if (stats != nullptr) {
-    // The plan needs no ranking: nprobe of the coarse cells.
-    stats->clusters_total = coarse_.k();
-    stats->clusters_visited = nprobe;
-    stats->partitions_total = coarse_.k();
-    stats->partitions_visited = 0;  // plan stamped; nothing entered yet
-  }
-  QueryTrace* trace = control.trace;
-  if (trace != nullptr) trace->Reset();
-
-  std::vector<float>& projected = scratch->projected;
-  TopKHeap& heap = scratch->heap;
-  heap.Reset(k);
-  // The deadline is checked after projection, LUT build and ranking, then
-  // between coarse cells and between 64-row blocks inside BlockedEaScan.
-  auto finish = [&] {
-    return FinalizeSearchResult(stop, control.strict_deadline, &heap, out,
-                                stats, before, trace, timer.ElapsedMicros(),
-                                cpu_timer.ElapsedMicros());
-  };
-  {
-    TraceSpan span(trace, QueryPhase::kProject);
-    encoder_.ProjectQuery(query, &scratch->pca_space, &projected);
-  }
-  if (stop != nullptr && stop->ShouldStop()) return finish();
-
-  const VariableCodebooks& books = encoder_.codebooks();
-  std::vector<float>& lut = scratch->lut;
-  {
-    TraceSpan span(trace, QueryPhase::kLutBuild);
-    books.BuildLookupTable(projected.data(), &lut);
-  }
-  if (stop != nullptr && stop->ShouldStop()) return finish();
-
-  // Rank the coarse cells by query distance; `query_to_cluster` holds the
-  // distances and `order` the cell ranking, mirroring VaqIndex's TI path.
-  TraceSpan rank_span(trace, QueryPhase::kPartitionRank);
-  std::vector<float>& cell_dist = scratch->query_to_cluster;
-  cell_dist.resize(coarse_.k());
-  for (size_t c = 0; c < coarse_.k(); ++c) {
-    cell_dist[c] =
-        SquaredL2(projected.data(), coarse_.centroids().row(c), dim());
-  }
-  std::vector<size_t>& order = scratch->order;
-  order.resize(coarse_.k());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::partial_sort(order.begin(), order.begin() + nprobe, order.end(),
-                    [&](size_t a, size_t b) {
-                      if (cell_dist[a] != cell_dist[b]) {
-                        return cell_dist[a] < cell_dist[b];
-                      }
-                      return a < b;
-                    });
-  rank_span.Stop();
-  if (stop != nullptr && stop->ShouldStop()) return finish();
-
+  const SearchPlan plan{&coarse_.centroids(), std::min(nprobe, coarse_.k())};
   // Blocked early-abandoned ADC scan of the probed lists, each a position
   // range of the store (importance-ordered subspaces, threshold checked
   // once per block every 4 subspaces, same kernels as VaqIndex).
   const ScanKernel& kernel = GetScanKernel(options_.scan_kernel);
-  {
-    TraceSpan scan_span(trace, QueryPhase::kBlockScan);
-    for (size_t v = 0; v < nprobe; ++v) {
-      if (stop != nullptr && stop->ShouldStop()) break;
-      if (stats != nullptr) ++stats->partitions_visited;
-      const size_t c = order[v];
-      BlockedEaScan(store_.blocked(), store_.partition_begin(c),
-                    store_.partition_end(c), store_.ids().data(), lut.data(),
-                    books.lut_offsets(), books.num_subspaces(),
-                    /*interval=*/4, kernel, scratch->acc, &heap, stats, stop);
-    }
-  }
-  return finish();
+  const VariableCodebooks& books = encoder_.codebooks();
+  return SearchQuery(
+      encoder_, size(), query, k, plan, control, scratch, out, stats,
+      [&](SearchScratch* s, SearchStats* st, StopController* stop,
+          size_t c) {
+        BlockedEaScan(store_.blocked(), store_.partition_begin(c),
+                      store_.partition_end(c), store_.ids().data(),
+                      s->lut.data(), books.lut_offsets(),
+                      books.num_subspaces(), /*interval=*/4, kernel, s->acc,
+                      &s->heap, st, stop);
+      });
 }
 
 Status VaqIvfIndex::SearchBatchInto(
@@ -320,25 +239,18 @@ Status VaqIvfIndex::SearchBatchInto(
     std::vector<std::vector<Neighbor>>* results,
     std::vector<Status>* statuses,
     std::vector<SearchStats>* query_stats) const {
-  if (queries.cols() != dim()) {
-    return Status::InvalidArgument("query dimension mismatch");
-  }
-  const size_t nq = queries.rows();
-  results->resize(nq);
-  if (query_stats != nullptr) query_stats->assign(nq, SearchStats{});
   // A single QueryTrace is not thread-safe across the batch workers.
   QueryControl query_control = control;
   query_control.trace = nullptr;
   return RunSearchBatch(
-      nq, num_threads,
-      [this, &queries, k, nprobe, query_control, results, query_stats](
-          size_t q, SearchScratch* scratch) {
-        SearchStats* stats =
-            query_stats != nullptr ? &(*query_stats)[q] : nullptr;
-        return Search(queries.row(q), k, nprobe, query_control, scratch,
-                      &(*results)[q], stats);
+      queries, dim(), num_threads,
+      [this, k, nprobe, &query_control](const float* query,
+                                        SearchScratch* scratch,
+                                        std::vector<Neighbor>* out,
+                                        SearchStats* stats) {
+        return Search(query, k, nprobe, query_control, scratch, out, stats);
       },
-      statuses);
+      results, statuses, query_stats);
 }
 
 }  // namespace vaq

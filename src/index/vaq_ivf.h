@@ -55,17 +55,9 @@ class VaqIvfIndex {
                 std::vector<Neighbor>* out,
                 SearchStats* stats = nullptr) const;
 
-  /// Same, but reuses caller-owned scratch for an allocation-free
-  /// steady-state query path (see VaqIndex::Search).
-  Status Search(const float* query, size_t k, size_t nprobe,
-                SearchScratch* scratch, std::vector<Neighbor>* out,
-                SearchStats* stats = nullptr) const;
-
-  /// Deadline-aware / cancellable variant: the budget and token in
-  /// `control` are checked after projection, LUT build and cell ranking,
-  /// then between coarse cells and between 64-row blocks inside each
-  /// probed list, with the same degrade-vs-strict semantics as VaqIndex
-  /// (DESIGN.md §9).
+  /// Same, under `control` (deadline, cancellation, strict mode, trace;
+  /// checked as for VaqIndex, DESIGN.md §9), reusing caller-owned scratch
+  /// for an allocation-free steady-state query path.
   Status Search(const float* query, size_t k, size_t nprobe,
                 const QueryControl& control, SearchScratch* scratch,
                 std::vector<Neighbor>* out,

@@ -18,6 +18,7 @@
 #include "index/vaq_ivf.h"
 #include "quant/opq.h"
 #include "quant/pq.h"
+#include "temp_path.h"
 
 namespace vaq {
 namespace {
@@ -105,7 +106,7 @@ class FailureInjectionTest : public ::testing::Test {
     auto index = VaqIndex::Train(base_, opts);
     ASSERT_TRUE(index.ok());
     index_ = std::move(*index);
-    path_ = "/tmp/vaq_failure_injection.bin";
+    path_ = TestTempPath("vaq_failure_injection");
     ASSERT_TRUE(index_.Save(path_).ok());
   }
 

@@ -478,6 +478,27 @@ TEST_F(SearchTelemetryTest, ReusedStatsDoNotDoubleCount) {
   EXPECT_EQ(rows->value(), before + rows_one_query);
 }
 
+TEST_F(SearchTelemetryTest, ReusedStatsCountEveryQuerysPartitions) {
+  // partitions_visited is reset by the plan stamp, not accumulated, so
+  // the registry delta must be taken after the stamp: otherwise a reused
+  // stats struct cancels the second query's partitions against the
+  // first's.
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* partitions =
+      reg.GetCounter("vaq_scan_partitions_visited_total", "");
+  SearchParams params;
+  params.k = 10;
+  params.mode = SearchMode::kTriangleInequality;
+  params.visit_fraction = 1.0;
+  std::vector<Neighbor> result;
+  SearchStats stats;  // reused across both queries, never reset by caller
+  ASSERT_TRUE(index_->Search(base_->row(6), params, &result, &stats).ok());
+  const uint64_t before = partitions->value();
+  ASSERT_TRUE(index_->Search(base_->row(7), params, &result, &stats).ok());
+  ASSERT_GT(stats.partitions_visited, 0u);
+  EXPECT_EQ(partitions->value(), before + stats.partitions_visited);
+}
+
 // Captured log lines for the slow-query test (plain function pointer
 // sink => file-scope storage).
 std::mutex g_log_mu;

@@ -39,33 +39,50 @@ void EarlyAbandonPush(const VariableCodebooks& books, const uint16_t* code,
   heap->Push(acc, id);
 }
 
-/// Projects `query` and builds its lookup table with `encoder`.
-std::vector<float> QueryLut(const VaqEncoder& encoder, const float* query,
-                            std::vector<float>* projected) {
-  std::vector<float> pca_space;
-  encoder.ProjectQuery(query, &pca_space, projected);
-  std::vector<float> lut;
-  encoder.codebooks().BuildLookupTable(projected->data(), &lut);
-  return lut;
+/// All partitions ranked by (squared distance from `projected` to their
+/// centroid over centroids.cols() dimensions, partition id), with the
+/// squared distances in `dist`.
+std::vector<size_t> RankAll(const FloatMatrix& centroids,
+                            const float* projected, std::vector<float>* dist) {
+  const size_t n = centroids.rows();
+  dist->assign(n, 0.f);
+  for (size_t c = 0; c < n; ++c) {
+    (*dist)[c] = SquaredL2(projected, centroids.row(c), centroids.cols());
+  }
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if ((*dist)[a] != (*dist)[b]) return (*dist)[a] < (*dist)[b];
+    return a < b;
+  });
+  return order;
 }
 
-/// Fills `heap` by the row-at-a-time scan of `index` in `params.mode`,
-/// in store order (VaqIndex::store()).
+/// The check points production runs before its scan (SearchQuery):
+/// projects `query` and, unless `stop` fires right after, builds the
+/// lookup table into `lut`. Returns false when `stop` fired after either
+/// step.
+bool ProjectAndBuildLut(const VaqEncoder& encoder, const float* query,
+                        std::vector<float>* projected,
+                        std::vector<float>* lut, StopController* stop) {
+  std::vector<float> pca_space;
+  encoder.ProjectQuery(query, &pca_space, projected);
+  if (stop != nullptr && stop->ShouldStop()) return false;
+  encoder.codebooks().BuildLookupTable(projected->data(), lut);
+  return stop == nullptr || !stop->ShouldStop();
+}
+
+/// Fills `heap` by the row-at-a-time scan of `index` in `mode` over
+/// `s_limit` subspaces (TI: the `visit` nearest clusters), in store order
+/// (VaqIndex::store()).
 void ScanRows(const VaqIndex& index, const float* projected,
               const std::vector<float>& lut, const SearchParams& params,
-              TopKHeap* heap, SearchStats* stats, StopController* stop) {
+              SearchMode mode, size_t s_limit, size_t visit, TopKHeap* heap,
+              SearchStats* stats, StopController* stop) {
   const VariableCodebooks& books = index.codebooks();
   const PartitionedCodes& store = index.store();
   const CodeMatrix codes = store.RowCodes();
   const std::vector<uint32_t>& ids = store.ids();
-  const size_t m = index.num_subspaces();
-  const size_t s_limit = params.num_subspaces_used == 0
-                             ? m
-                             : std::min(params.num_subspaces_used, m);
-  SearchMode mode = params.mode;
-  if (mode == SearchMode::kTriangleInequality && s_limit != m) {
-    mode = SearchMode::kEarlyAbandon;  // TI caches assume full distances
-  }
   const size_t interval = std::max<size_t>(1, params.ea_check_interval);
   const size_t n = codes.rows();
 
@@ -101,25 +118,12 @@ void ScanRows(const VaqIndex& index, const float* projected,
     return;
   }
 
-  // Triangle inequality cascade (Algorithm 4).
+  // Triangle inequality cascade (Algorithm 4) over the `visit` nearest
+  // clusters.
   const TiPartition& ti = index.ti_partition();
   std::vector<float> query_to_cluster;
-  ti.QueryDistances(projected, &query_to_cluster);
-  std::vector<size_t> order(ti.num_clusters());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return query_to_cluster[a] < query_to_cluster[b];
-  });
-  const size_t visit = std::clamp<size_t>(
-      static_cast<size_t>(std::ceil(params.visit_fraction *
-                                    static_cast<double>(order.size()))),
-      1, order.size());
-  if (stats != nullptr) {
-    stats->clusters_total = order.size();
-    stats->clusters_visited = visit;
-    stats->partitions_total = order.size();
-    stats->partitions_visited = 0;  // plan stamped; nothing entered yet
-  }
+  const std::vector<size_t> order =
+      RankAll(ti.centroids(), projected, &query_to_cluster);
   if (stop != nullptr && stop->ShouldStop()) return;
 
   for (size_t v = 0; v < visit; ++v) {
@@ -129,7 +133,7 @@ void ScanRows(const VaqIndex& index, const float* projected,
     const size_t base = store.partition_begin(c);
     const std::vector<float>& cached = ti.distances(c);
     if (cached.empty()) continue;
-    const float dq = query_to_cluster[c];
+    const float dq = std::sqrt(query_to_cluster[c]);
 
     // Members that can beat the best-so-far satisfy
     // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
@@ -170,7 +174,7 @@ void ScanRows(const VaqIndex& index, const float* projected,
         if (stop->ShouldStop()) return;
       }
       const uint32_t id = ids[base + i];
-      EarlyAbandonPush(books, codes.row(id), id, lut.data(), m, interval,
+      EarlyAbandonPush(books, codes.row(id), id, lut.data(), s_limit, interval,
                        heap, stats);
     }
   }
@@ -181,19 +185,38 @@ void ScanRows(const VaqIndex& index, const float* projected,
 Status ReferenceSearch(const VaqIndex& index, const float* query,
                        const SearchParams& params, std::vector<Neighbor>* out,
                        SearchStats* stats) {
+  const size_t m = index.num_subspaces();
+  const size_t s_limit = params.num_subspaces_used == 0
+                             ? m
+                             : std::min(params.num_subspaces_used, m);
+  SearchMode mode = params.mode;
+  if (mode == SearchMode::kTriangleInequality && s_limit != m) {
+    mode = SearchMode::kEarlyAbandon;  // TI caches assume full distances
+  }
+  size_t clusters = 0, visit = 0;
+  if (mode == SearchMode::kTriangleInequality) {
+    clusters = index.ti_partition().num_clusters();
+    visit = std::clamp<size_t>(
+        static_cast<size_t>(std::ceil(params.visit_fraction *
+                                      static_cast<double>(clusters))),
+        1, clusters);
+  }
+  if (stats != nullptr) {  // the plan, stamped before projection
+    stats->partitions_total = clusters;
+    stats->clusters_visited = visit;
+    stats->partitions_visited = 0;
+  }
   const SearchStats before = stats != nullptr ? *stats : SearchStats{};
   StopController stop(params.deadline, params.cancel_token);
   StopController* stop_ptr = stop.armed() ? &stop : nullptr;
-  // The same check points as VaqIndex::Search: after projection, after
-  // the LUT build and (TI) after ranking, then inside the scan.
-  std::vector<float> projected, pca_space, lut;
-  index.encoder().ProjectQuery(query, &pca_space, &projected);
+  // The same check points as production: after projection, after the
+  // LUT build and (TI) after ranking, then inside the scan.
+  std::vector<float> projected, lut;
   TopKHeap heap(params.k);
-  if (stop_ptr == nullptr || !stop_ptr->ShouldStop()) {
-    index.codebooks().BuildLookupTable(projected.data(), &lut);
-    if (stop_ptr == nullptr || !stop_ptr->ShouldStop()) {
-      ScanRows(index, projected.data(), lut, params, &heap, stats, stop_ptr);
-    }
+  if (ProjectAndBuildLut(index.encoder(), query, &projected, &lut,
+                         stop_ptr)) {
+    ScanRows(index, projected.data(), lut, params, mode, s_limit, visit,
+             &heap, stats, stop_ptr);
   }
   return FinalizeSearchResult(stop_ptr, params.strict_deadline, &heap, out,
                               stats, before, /*trace=*/nullptr,
@@ -201,52 +224,55 @@ Status ReferenceSearch(const VaqIndex& index, const float* query,
 }
 
 Status ReferenceIvfSearch(const VaqIvfIndex& index, const float* query,
-                          size_t k, size_t nprobe, std::vector<Neighbor>* out,
-                          SearchStats* stats) {
-  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
-  std::vector<float> projected;
-  const std::vector<float> lut = QueryLut(index.encoder(), query, &projected);
-  const VariableCodebooks& books = index.encoder().codebooks();
+                          size_t k, size_t nprobe,
+                          const QueryControl& control,
+                          std::vector<Neighbor>* out, SearchStats* stats) {
   const FloatMatrix& centroids = index.coarse().centroids();
   const size_t cells = centroids.rows();
   nprobe = std::min(nprobe, cells);
-
-  // Rank the coarse cells by query distance, ties by cell id.
-  std::vector<float> cell_dist(cells);
-  for (size_t c = 0; c < cells; ++c) {
-    cell_dist[c] = SquaredL2(projected.data(), centroids.row(c), index.dim());
-  }
-  std::vector<size_t> order(cells);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::partial_sort(order.begin(), order.begin() + nprobe, order.end(),
-                    [&](size_t a, size_t b) {
-                      if (cell_dist[a] != cell_dist[b]) {
-                        return cell_dist[a] < cell_dist[b];
-                      }
-                      return a < b;
-                    });
-  if (stats != nullptr) {
-    stats->clusters_total = cells;
-    stats->clusters_visited = nprobe;
+  if (stats != nullptr) {  // the plan, stamped before projection
     stats->partitions_total = cells;
+    stats->clusters_visited = nprobe;
     stats->partitions_visited = 0;
   }
-
+  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
+  StopController stop_state(control.deadline, control.cancel_token);
+  StopController* stop = stop_state.armed() ? &stop_state : nullptr;
+  const VariableCodebooks& books = index.encoder().codebooks();
   const PartitionedCodes& store = index.store();
   const CodeMatrix codes = store.RowCodes();
   TopKHeap heap(k);
-  for (size_t v = 0; v < nprobe; ++v) {
-    if (stats != nullptr) ++stats->partitions_visited;
-    const size_t c = order[v];
-    for (size_t pos = store.partition_begin(c); pos < store.partition_end(c);
-         ++pos) {
-      const uint32_t id = store.ids()[pos];
-      EarlyAbandonPush(books, codes.row(id), id, lut.data(),
-                       books.num_subspaces(), /*interval=*/4, &heap, stats);
+  std::vector<float> projected, lut, cell_dist;
+  // The same check points as production: after projection, after the LUT
+  // build, after ranking, between cells and once per store block a list
+  // scans into.
+  auto scan = [&] {
+    const std::vector<size_t> order =
+        RankAll(centroids, projected.data(), &cell_dist);
+    if (stop != nullptr && stop->ShouldStop()) return;
+    for (size_t v = 0; v < nprobe; ++v) {
+      if (stop != nullptr && stop->ShouldStop()) return;
+      if (stats != nullptr) ++stats->partitions_visited;
+      const size_t c = order[v];
+      size_t checked_block = SIZE_MAX;
+      for (size_t pos = store.partition_begin(c);
+           pos < store.partition_end(c); ++pos) {
+        if (stop != nullptr && pos / kScanBlockSize != checked_block) {
+          checked_block = pos / kScanBlockSize;
+          if (stop->ShouldStop()) return;
+        }
+        const uint32_t id = store.ids()[pos];
+        EarlyAbandonPush(books, codes.row(id), id, lut.data(),
+                         books.num_subspaces(), /*interval=*/4, &heap,
+                         stats);
+      }
     }
+  };
+  if (ProjectAndBuildLut(index.encoder(), query, &projected, &lut, stop)) {
+    scan();
   }
-  return FinalizeSearchResult(/*stop=*/nullptr, /*strict_deadline=*/false,
-                              &heap, out, stats, before, /*trace=*/nullptr,
+  return FinalizeSearchResult(stop, control.strict_deadline, &heap, out,
+                              stats, before, /*trace=*/nullptr,
                               /*wall_micros=*/0.0, /*cpu_micros=*/0.0);
 }
 

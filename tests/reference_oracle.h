@@ -24,17 +24,23 @@ namespace vaq {
 /// cancellation are checked where production checks them: after
 /// projection, after the LUT build, after TI ranking, every 64 store
 /// positions, between TI clusters and once per store block a TI window
-/// scans in. Work counters are row-granular, so they may differ from the
-/// blocked scan's.
+/// scans in. TI ranks the clusters by (squared distance, cluster id).
+/// Work counters are row-granular, so they may differ from the blocked
+/// scan's.
 Status ReferenceSearch(const VaqIndex& index, const float* query,
                        const SearchParams& params, std::vector<Neighbor>* out,
                        SearchStats* stats = nullptr);
 
 /// Row-at-a-time VaqIvfIndex::Search over the `nprobe` nearest cells
-/// (nprobe >= 1), with early abandoning checked every four subspaces.
-/// Runs without a deadline.
+/// (nprobe >= 1), ranked by (squared distance, cell id), with early
+/// abandoning checked every four subspaces. The deadline and
+/// cancellation in `control` are checked where production checks them:
+/// after projection, after the LUT build, after ranking, between cells
+/// and once per store block a list scans into.
 Status ReferenceIvfSearch(const VaqIvfIndex& index, const float* query,
-                          size_t k, size_t nprobe, std::vector<Neighbor>* out,
+                          size_t k, size_t nprobe,
+                          const QueryControl& control,
+                          std::vector<Neighbor>* out,
                           SearchStats* stats = nullptr);
 
 }  // namespace vaq

@@ -15,6 +15,7 @@
 #include <new>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -342,7 +343,7 @@ TEST_F(ScanSearchEquivalenceTest, ScalarAndSimdReportIdenticalStats) {
       EXPECT_EQ(scalar_stats.codes_skipped_ti, simd_stats.codes_skipped_ti);
       EXPECT_EQ(scalar_stats.lut_adds, simd_stats.lut_adds);
       EXPECT_EQ(scalar_stats.clusters_visited, simd_stats.clusters_visited);
-      EXPECT_EQ(scalar_stats.clusters_total, simd_stats.clusters_total);
+      EXPECT_EQ(scalar_stats.partitions_total, simd_stats.partitions_total);
     }
   }
 }
@@ -407,7 +408,10 @@ TEST(DuplicateHeavyEquivalenceTest, HeapAndEaMatchOracleOnTies) {
   // ten times, so most top-k boundaries fall inside a run of equal
   // distances and only the (distance, id) order decides the answer. The
   // store's cluster order differs from row order, so an answer that
-  // depended on scan order would differ from the oracle's.
+  // depended on scan order would differ from the oracle's. TI runs too:
+  // its centroids are sampled rows, so some are duplicates with tied
+  // query distances, and at visit 0.25 the (distance, cluster id) ranking
+  // decides which clusters are scanned; the oracle ranks in its own code.
   const FloatMatrix base = GenerateSpectrumMixture(
       40, 8, PowerLawSpectrum(8, 1.2), 4, 1.0, 7);
   FloatMatrix tiled(400, 8);
@@ -421,18 +425,35 @@ TEST(DuplicateHeavyEquivalenceTest, HeapAndEaMatchOracleOnTies) {
   opts.kmeans_iters = 5;
   auto index = VaqIndex::Train(tiled, opts);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
-  for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon}) {
+  const std::pair<SearchMode, double> cases[] = {
+      {SearchMode::kHeap, 1.0},
+      {SearchMode::kEarlyAbandon, 1.0},
+      {SearchMode::kTriangleInequality, 0.25},
+      {SearchMode::kTriangleInequality, 1.0}};
+  for (const auto& [mode, visit] : cases) {
     for (size_t k : {5, 15, 25}) {
-      for (size_t q = 0; q < 8; ++q) {
+      for (size_t q = 0; q < 40; ++q) {  // every distinct row
         SearchParams params;
         params.k = k;
         params.mode = mode;
+        params.visit_fraction = visit;
         std::vector<Neighbor> want, got;
+        SearchStats want_stats, got_stats;
         ASSERT_TRUE(
-            ReferenceSearch(*index, tiled.row(q * 7), params, &want).ok());
-        ASSERT_TRUE(index->Search(tiled.row(q * 7), params, &got).ok());
+            ReferenceSearch(*index, tiled.row(q), params, &want, &want_stats)
+                .ok());
+        ASSERT_TRUE(index->Search(tiled.row(q), params, &got, &got_stats).ok());
         EXPECT_EQ(want, got) << "mode " << static_cast<int>(mode)
-                             << " k=" << k << " q=" << q;
+                             << " visit=" << visit << " k=" << k
+                             << " q=" << q;
+        // Each member of a visited cluster is either scanned or skipped by
+        // TI (0 for heap and EA), so equal sums mean equally large
+        // clusters were visited: a tie ranked the other way would visit
+        // an empty duplicate-centroid cluster instead of its twin.
+        EXPECT_EQ(want_stats.partitions_visited, got_stats.partitions_visited);
+        EXPECT_EQ(want_stats.codes_visited + want_stats.codes_skipped_ti,
+                  got_stats.codes_visited + got_stats.codes_skipped_ti)
+            << "visit=" << visit << " k=" << k << " q=" << q;
         // Ties resolve to the smallest ids.
         for (size_t i = 1; i < got.size(); ++i) {
           if (got[i].distance == got[i - 1].distance) {
@@ -466,7 +487,8 @@ TEST(VaqIvfScanTest, BlockedKernelsMatchReferenceScan) {
     for (size_t q = 0; q < queries.rows(); ++q) {
       std::vector<Neighbor> want, got;
       ASSERT_TRUE(ReferenceIvfSearch(*index, queries.row(q), 10,
-                                     opts.default_nprobe, &want)
+                                     opts.default_nprobe, QueryControl{},
+                                     &want)
                       .ok());
       ASSERT_TRUE(index->Search(queries.row(q), 10, 0, &got).ok());
       ASSERT_EQ(want.size(), got.size());

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/io.h"
+#include "temp_path.h"
 
 namespace vaq {
 namespace {
@@ -89,7 +90,7 @@ class ContainerTest : public ::testing::Test {
     return *bytes;
   }
 
-  std::string path_ = "/tmp/vaq_serialize_test.bin";
+  std::string path_ = TestTempPath("vaq_serialize_test");
 };
 
 TEST_F(ContainerTest, RoundTripPreservesSectionsAndVersion) {

@@ -42,6 +42,29 @@ class TiPartitionTest : public ::testing::Test {
   std::vector<std::vector<uint32_t>> members_;  ///< ids per cluster
 };
 
+/// order[0, visit) ascends by (dist, cluster id), and no cluster outside
+/// it is nearer than the last one inside it.
+void ExpectRankedAscending(const std::vector<float>& dist,
+                           const std::vector<size_t>& order, size_t visit) {
+  ASSERT_EQ(order.size(), dist.size());
+  ASSERT_GT(visit, 0u);
+  std::vector<bool> ranked(dist.size(), false);
+  for (size_t v = 0; v < visit; ++v) {
+    ranked[order[v]] = true;
+    if (v == 0) continue;
+    const size_t a = order[v - 1], b = order[v];
+    EXPECT_TRUE(dist[a] < dist[b] || (dist[a] == dist[b] && a < b))
+        << "rank " << v;
+  }
+  const size_t last = order[visit - 1];
+  for (size_t c = 0; c < dist.size(); ++c) {
+    if (!ranked[c]) {
+      EXPECT_TRUE(dist[last] < dist[c] || (dist[last] == dist[c] && last < c))
+          << "cluster " << c << " left out of the ranked prefix";
+    }
+  }
+}
+
 TEST_F(TiPartitionTest, EveryIdAppearsExactlyOnce) {
   std::set<uint32_t> seen;
   size_t total = 0;
@@ -91,13 +114,16 @@ TEST_F(TiPartitionTest, QueryDistancesMatchDirectComputation) {
   std::vector<float> query(books_.dim());
   for (auto& v : query) v = static_cast<float>(rng.Gaussian());
   std::vector<float> dists;
-  ti_.QueryDistances(query.data(), &dists);
+  std::vector<size_t> order;
+  RankPartitions(ti_.centroids(), query.data(), ti_.num_clusters(), &dists,
+                 &order);
   ASSERT_EQ(dists.size(), ti_.num_clusters());
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
     const float direct = std::sqrt(SquaredL2(
         query.data(), ti_.centroids().row(c), ti_.prefix_dims()));
-    EXPECT_NEAR(dists[c], direct, 1e-4f);
+    EXPECT_NEAR(std::sqrt(dists[c]), direct, 1e-4f);
   }
+  ExpectRankedAscending(dists, order, ti_.num_clusters());
 }
 
 TEST_F(TiPartitionTest, TriangleInequalityBoundHolds) {
@@ -107,7 +133,10 @@ TEST_F(TiPartitionTest, TriangleInequalityBoundHolds) {
   std::vector<float> query(books_.dim());
   for (auto& v : query) v = static_cast<float>(rng.Gaussian());
   std::vector<float> qdists;
-  ti_.QueryDistances(query.data(), &qdists);
+  std::vector<size_t> order;
+  const size_t visit = ti_.num_clusters() / 4;
+  RankPartitions(ti_.centroids(), query.data(), visit, &qdists, &order);
+  ExpectRankedAscending(qdists, order, visit);
   std::vector<float> decoded(books_.dim());
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
     const std::vector<uint32_t>& ids = members_[c];
@@ -115,7 +144,8 @@ TEST_F(TiPartitionTest, TriangleInequalityBoundHolds) {
       books_.DecodeRow(codes_.row(ids[i]), decoded.data());
       const float prefix_dist = std::sqrt(SquaredL2(
           query.data(), decoded.data(), ti_.prefix_dims()));
-      const float bound = std::fabs(qdists[c] - ti_.distances(c)[i]);
+      const float bound =
+          std::fabs(std::sqrt(qdists[c]) - ti_.distances(c)[i]);
       EXPECT_LE(bound, prefix_dist + 1e-2f);
       const float full_dist =
           std::sqrt(SquaredL2(query.data(), decoded.data(), books_.dim()));

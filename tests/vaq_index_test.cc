@@ -126,7 +126,7 @@ TEST_F(VaqIndexTest, TiPruningActuallySkipsWork) {
   SearchStats stats;
   std::vector<Neighbor> result;
   ASSERT_TRUE(index_.Search(queries_.row(0), params, &result, &stats).ok());
-  EXPECT_LT(stats.clusters_visited, stats.clusters_total);
+  EXPECT_LT(stats.clusters_visited, stats.partitions_total);
   EXPECT_LT(stats.codes_visited, index_.size());
   EXPECT_GT(stats.codes_visited, 0u);
 }

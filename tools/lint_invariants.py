@@ -23,9 +23,11 @@ suite, the Status-not-abort API tests) into CI build failures:
                        funnel so servers and tests can capture it.
   entrypoint-no-check  Public Search*/Load* entry points (src/core/
                        vaq_encoder.cc, vaq_index.cc, src/index/vaq_ivf.cc)
-                       must not VAQ_CHECK: user-reachable misuse returns Status,
-                       never aborts the process. (VAQ_DCHECK stays legal:
-                       debug-only, compiled out of release servers.)
+                       and the query driver SearchQuery (src/core/
+                       search_batch.h) must not VAQ_CHECK: user-reachable
+                       misuse returns Status, never aborts the process.
+                       (VAQ_DCHECK stays legal: debug-only, compiled out
+                       of release servers.)
 
 Suppression: append  // vaq-lint: allow(<rule-id>) -- <why>  on the
 offending line or the line directly above it. Suppressions are per-rule
@@ -60,6 +62,7 @@ KERNEL_FUNCTIONS = {
 }
 
 ENTRYPOINT_FILES = {
+    "src/core/search_batch.h",
     "src/core/vaq_encoder.cc",
     "src/core/vaq_index.cc",
     "src/index/vaq_ivf.cc",

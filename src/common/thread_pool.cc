@@ -1,17 +1,15 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
 #include <utility>
+
+#include "common/parallel.h"
 
 namespace vaq {
 
 ThreadPool::ThreadPool() : ThreadPool(Options()) {}
 
 ThreadPool::ThreadPool(const Options& options) {
-  size_t n = options.num_threads;
-  if (n == 0) {
-    n = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
+  const size_t n = ResolveThreadCount(options.num_threads);
   queue_capacity_ =
       options.queue_capacity != 0 ? options.queue_capacity : 4 * n;
   workers_.reserve(n);

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <algorithm>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "clustering/kmeans.h"
 #include "common/io.h"
 #include "common/macros.h"
+#include "common/parallel.h"
 
 namespace vaq {
 
@@ -102,29 +102,9 @@ Result<CodeMatrix> VariableCodebooks::Encode(const FloatMatrix& data,
     return Status::InvalidArgument("data width does not match codebooks");
   }
   CodeMatrix codes(data.rows(), num_subspaces());
-  if (num_threads == 0) {
-    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, std::max<size_t>(1, data.rows()));
-  if (num_threads <= 1) {
-    for (size_t r = 0; r < data.rows(); ++r) {
-      EncodeRow(data.row(r), codes.row(r));
-    }
-    return codes;
-  }
-  std::vector<std::thread> workers;
-  const size_t chunk = (data.rows() + num_threads - 1) / num_threads;
-  for (size_t t = 0; t < num_threads; ++t) {
-    const size_t begin = t * chunk;
-    const size_t end = std::min(data.rows(), begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([this, &data, &codes, begin, end] {
-      for (size_t r = begin; r < end; ++r) {
-        EncodeRow(data.row(r), codes.row(r));
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
+  ParallelFor(data.rows(), num_threads, [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) EncodeRow(data.row(r), codes.row(r));
+  });
   return codes;
 }
 
@@ -140,10 +120,12 @@ void VariableCodebooks::DecodeRow(const uint16_t* code, float* out) const {
 }
 
 void VariableCodebooks::BuildLookupTable(const float* query,
-                                         std::vector<float>* lut) const {
+                                         std::vector<float>* lut,
+                                         size_t prefix_subspaces) const {
   VAQ_DCHECK(trained_);
   lut->resize(lut_entries_);
-  for (size_t s = 0; s < layout_.num_subspaces(); ++s) {
+  const size_t end = std::min(prefix_subspaces, layout_.num_subspaces());
+  for (size_t s = 0; s < end; ++s) {
     const SubspaceSpan& span = layout_.span(s);
     const FloatMatrix& dict = centroids_[s];
     const float* sub = query + span.offset;
@@ -152,33 +134,6 @@ void VariableCodebooks::BuildLookupTable(const float* query,
       block[c] = SquaredL2(sub, dict.row(c), span.length);
     }
   }
-}
-
-void VariableCodebooks::BuildPrefixLookupTable(const float* prefix,
-                                               size_t prefix_subspaces,
-                                               std::vector<float>* lut) const {
-  VAQ_DCHECK(trained_);
-  VAQ_DCHECK(prefix_subspaces <= layout_.num_subspaces());
-  lut->resize(lut_entries_);
-  for (size_t s = 0; s < prefix_subspaces; ++s) {
-    const SubspaceSpan& span = layout_.span(s);
-    const FloatMatrix& dict = centroids_[s];
-    const float* sub = prefix + span.offset;
-    float* block = lut->data() + lut_offsets_[s];
-    for (size_t c = 0; c < dict.rows(); ++c) {
-      block[c] = SquaredL2(sub, dict.row(c), span.length);
-    }
-  }
-}
-
-float VariableCodebooks::PrefixAdcDistance(const uint16_t* code,
-                                           const float* lut,
-                                           size_t prefix_subspaces) const {
-  float acc = 0.f;
-  for (size_t s = 0; s < prefix_subspaces; ++s) {
-    acc += lut[lut_offsets_[s] + code[s]];
-  }
-  return acc;
 }
 
 float VariableCodebooks::AdcDistance(const uint16_t* code,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <vector>
 
@@ -44,9 +45,8 @@ class VariableCodebooks {
   /// Dictionary for subspace s: (2^bits[s] x span(s).length).
   const FloatMatrix& centroids(size_t s) const { return centroids_[s]; }
 
-  /// Encodes every row of `data` (n x dim()). `num_threads` > 1 splits the
-  /// rows across std::thread workers (encoding is embarrassingly
-  /// parallel); 0 picks the hardware concurrency.
+  /// Encodes every row of `data` (n x dim()), splitting the rows over
+  /// `num_threads` threads (ParallelFor; 0 = hardware concurrency).
   Result<CodeMatrix> Encode(const FloatMatrix& data,
                             size_t num_threads = 1) const;
 
@@ -67,19 +67,13 @@ class VariableCodebooks {
 
   /// Fills `lut` (resized to lut_entries()) with squared distances from the
   /// query's subvectors to every dictionary item — the ADC table of
-  /// Algorithm 4 lines 5-13.
-  void BuildLookupTable(const float* query, std::vector<float>* lut) const;
-
-  /// Same as BuildLookupTable but only for the first `prefix_subspaces`
-  /// subspaces; `prefix` holds the leading prefix dims of a projected
-  /// vector. Entries of later subspaces are left untouched. Used by the
-  /// triangle-inequality partitioner to assign codes to clusters cheaply.
-  void BuildPrefixLookupTable(const float* prefix, size_t prefix_subspaces,
-                              std::vector<float>* lut) const;
-
-  /// ADC accumulation restricted to the first `prefix_subspaces` subspaces.
-  float PrefixAdcDistance(const uint16_t* code, const float* lut,
-                          size_t prefix_subspaces) const;
+  /// Algorithm 4 lines 5-13. Only the first `prefix_subspaces` subspaces'
+  /// entries are written (capped at num_subspaces()); later entries are
+  /// left untouched and `query` need only hold those subspaces' dims. The
+  /// TI partition builds its centroids' prefix tables this way.
+  void BuildLookupTable(
+      const float* query, std::vector<float>* lut,
+      size_t prefix_subspaces = std::numeric_limits<size_t>::max()) const;
 
   /// Full ADC accumulation over all subspaces (squared distance).
   float AdcDistance(const uint16_t* code, const float* lut) const;

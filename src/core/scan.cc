@@ -146,10 +146,6 @@ const ScanKernel& GetScanKernel(ScanKernelType type) {
 #endif
 }
 
-const char* AutoScanKernelName() {
-  return GetScanKernel(ScanKernelType::kAuto).name;
-}
-
 void RankPartitions(const FloatMatrix& centroids, const float* query,
                     size_t visit, std::vector<float>* dist,
                     std::vector<size_t>* order) {

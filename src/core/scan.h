@@ -47,7 +47,10 @@ struct SearchStats {
   void Reset() { *this = SearchStats{}; }
 };
 
-/// Which ADC scan implementation answers a query.
+/// Which ADC scan kernel GetScanKernel returns. Both indexes and the TI
+/// partition build run kAuto, so the CPU (and VAQ_SCAN_KERNEL=scalar)
+/// alone picks the kernel; the explicit values serve kernel benchmarks
+/// and tests.
 enum class ScanKernelType {
   kAuto,    ///< best blocked kernel the CPU supports (the default)
   kScalar,  ///< blocked scalar kernel (always available)
@@ -163,10 +166,6 @@ const ScanKernel& GetScanKernel(ScanKernelType type);
 
 /// True when the AVX2 kernel was compiled in and the CPU supports it.
 bool Avx2ScanAvailable();
-
-/// Name of the kernel kAuto resolves to ("avx2" or "scalar"); honors the
-/// VAQ_SCAN_KERNEL=scalar environment override.
-const char* AutoScanKernelName();
 
 /// Reusable per-thread query state. Threading one of these through
 /// Search/SearchBatch makes the steady-state query path allocation-free:

@@ -1,8 +1,8 @@
 #include "core/search_batch.h"
 
 #include <algorithm>
-#include <thread>
 
+#include "common/parallel.h"
 #include "common/thread_pool.h"
 
 namespace vaq {
@@ -38,10 +38,7 @@ Status RunSearchBatch(const FloatMatrix& queries, size_t dim,
         query_stats != nullptr ? &(*query_stats)[q] : nullptr;
     return run_query(queries.row(q), scratch, &(*results)[q], stats);
   };
-  if (num_threads == 0) {
-    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, num_queries);
+  num_threads = std::min(ResolveThreadCount(num_threads), num_queries);
 
   if (num_threads <= 1) {
     if (statuses != nullptr) statuses->assign(num_queries, Status::OK());

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <thread>
 
 #include "common/io.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace vaq {
@@ -43,55 +43,41 @@ Status TiPartition::Build(const CodeMatrix& codes,
     std::copy_n(decoded.data(), prefix_dims, centroids_.row(c));
   }
 
-  // Assign every code to its nearest centroid. Distances between decoded
-  // codes and centroids decompose over subspaces, so one lookup table per
-  // centroid turns each assignment into prefix_subspaces_ table adds.
-  std::vector<std::vector<float>> cluster_luts(num_clusters);
-  for (size_t c = 0; c < num_clusters; ++c) {
-    books.BuildPrefixLookupTable(centroids_.row(c), prefix_subspaces_,
-                                 &cluster_luts[c]);
-  }
-
-  std::vector<uint32_t> assignment(n);
-  std::vector<float> best_dist(n);
-  size_t num_threads = options.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, n);
-  auto assign_range = [&](size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      const uint16_t* code = codes.row(r);
-      float best = std::numeric_limits<float>::max();
-      size_t best_c = 0;
-      for (size_t c = 0; c < num_clusters; ++c) {
-        const float dist = books.PrefixAdcDistance(
-            code, cluster_luts[c].data(), prefix_subspaces_);
-        if (dist < best) {
-          best = dist;
-          best_c = c;
+  // Assign every code to its nearest centroid. The distance from a
+  // decoded code to a centroid is an ADC sum over the centroid's prefix
+  // lookup table, which the scan kernel computes for 64 rows at a time.
+  // Each worker owns a range of blocks and visits the centroids in
+  // ascending order; strict < gives ties to the smaller centroid index.
+  const BlockedCodes blocked = BlockedCodes::Build(codes);
+  const ScanKernel& kernel = GetScanKernel(ScanKernelType::kAuto);
+  std::vector<uint32_t> assignment(n, 0);
+  std::vector<float> best_dist(n, std::numeric_limits<float>::max());
+  ParallelFor(
+      blocked.num_blocks(), options.num_threads,
+      [&](size_t block_begin, size_t block_end) {
+        std::vector<float> lut;
+        float acc[kScanBlockSize];
+        for (size_t c = 0; c < num_clusters; ++c) {
+          books.BuildLookupTable(centroids_.row(c), &lut, prefix_subspaces_);
+          for (size_t b = block_begin; b < block_end; ++b) {
+            std::fill_n(acc, kScanBlockSize, 0.f);
+            kernel.accumulate(blocked.block(b), lut.data(),
+                              books.lut_offsets(), 0, prefix_subspaces_, acc);
+            const size_t row0 = b * kScanBlockSize;
+            const size_t lanes = std::min(kScanBlockSize, n - row0);
+            for (size_t i = 0; i < lanes; ++i) {
+              if (acc[i] < best_dist[row0 + i]) {
+                best_dist[row0 + i] = acc[i];
+                assignment[row0 + i] = static_cast<uint32_t>(c);
+              }
+            }
+          }
         }
-      }
-      assignment[r] = static_cast<uint32_t>(best_c);
-      best_dist[r] = std::sqrt(best);
-    }
-  };
-  if (num_threads <= 1) {
-    assign_range(0, n);
-  } else {
-    std::vector<std::thread> workers;
-    const size_t chunk = (n + num_threads - 1) / num_threads;
-    for (size_t t = 0; t < num_threads; ++t) {
-      const size_t begin = t * chunk;
-      const size_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      workers.emplace_back(assign_range, begin, end);
-    }
-    for (auto& worker : workers) worker.join();
-  }
+      });
   std::vector<std::vector<std::pair<float, uint32_t>>> staged(num_clusters);
   for (size_t r = 0; r < n; ++r) {
-    staged[assignment[r]].push_back({best_dist[r], static_cast<uint32_t>(r)});
+    staged[assignment[r]].push_back(
+        {std::sqrt(best_dist[r]), static_cast<uint32_t>(r)});
   }
 
   // Sort each cluster ascending by centroid distance (Section III-D keeps

@@ -131,14 +131,6 @@ Status VaqIndex::ValidateSearchParams(const SearchParams& params) const {
     default:
       return Status::InvalidArgument("unknown SearchMode value");
   }
-  switch (params.kernel) {
-    case ScanKernelType::kAuto:
-    case ScanKernelType::kScalar:
-    case ScanKernelType::kAvx2:
-      break;
-    default:
-      return Status::InvalidArgument("unknown ScanKernelType value");
-  }
   return Status::OK();
 }
 
@@ -174,7 +166,7 @@ Status VaqIndex::Search(const float* query, const SearchParams& params,
 }
 
 /// Blocked scan dispatch: all three SearchModes run on the transposed
-/// cache-blocked layout through a runtime-selected kernel. Accumulation
+/// cache-blocked layout through the kernel the CPU supports. Accumulation
 /// order per row is identical to the row-at-a-time oracle in
 /// tests/reference_oracle.cc, so neighbors and distances match it bit for
 /// bit; only the work counters reflect the block-granular (rather than
@@ -182,7 +174,7 @@ Status VaqIndex::Search(const float* query, const SearchParams& params,
 void VaqIndex::Scan(const SearchParams& params, SearchMode mode,
                     size_t s_limit, size_t partition, SearchScratch* scratch,
                     SearchStats* stats, StopController* stop) const {
-  const ScanKernel& kernel = GetScanKernel(params.kernel);
+  const ScanKernel& kernel = GetScanKernel(ScanKernelType::kAuto);
   const uint32_t* lut_offsets = codebooks().lut_offsets();
   const float* lut = scratch->lut.data();
   TopKHeap* heap = &scratch->heap;

@@ -42,10 +42,6 @@ struct SearchParams : QueryControl {
   /// amortize the branch). The blocked scan checks once per block after
   /// every `ea_check_interval` subspaces.
   size_t ea_check_interval = 4;
-  /// Which blocked ADC kernel runs the accumulation. kAuto picks the
-  /// fastest one for this CPU. All choices return bit-identical neighbors
-  /// and distances.
-  ScanKernelType kernel = ScanKernelType::kAuto;
 };
 
 /// Variance-Aware Quantization index: the paper's end-to-end system

@@ -10,7 +10,7 @@
 namespace vaq {
 
 /// Exact k-NN under Euclidean distance by brute force, parallelized over
-/// queries with std::thread. Distances returned are non-squared and the
+/// queries with ParallelFor (common/parallel.h). Distances returned are non-squared and the
 /// lists are sorted ascending — the reference answers against which every
 /// approximate method's Recall/MAP is measured.
 ///

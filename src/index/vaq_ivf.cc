@@ -219,7 +219,7 @@ Status VaqIvfIndex::Search(const float* query, size_t k, size_t nprobe,
   // Blocked early-abandoned ADC scan of the probed lists, each a position
   // range of the store (importance-ordered subspaces, threshold checked
   // once per block every 4 subspaces, same kernels as VaqIndex).
-  const ScanKernel& kernel = GetScanKernel(options_.scan_kernel);
+  const ScanKernel& kernel = GetScanKernel(ScanKernelType::kAuto);
   const VariableCodebooks& books = encoder_.codebooks();
   return SearchQuery(
       encoder_, size(), query, k, plan, control, scratch, out, stats,

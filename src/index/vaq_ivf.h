@@ -18,9 +18,6 @@ struct VaqIvfOptions {
   size_t coarse_k = 256;
   /// Default number of lists probed per query (>= 1).
   size_t default_nprobe = 8;
-  /// Blocked ADC kernel for the in-list scans (shared with VaqIndex; see
-  /// ScanKernelType). All choices return identical results.
-  ScanKernelType scan_kernel = ScanKernelType::kAuto;
 };
 
 /// Inverted-file index over VAQ primitives — the "new index for

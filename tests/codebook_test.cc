@@ -93,21 +93,36 @@ TEST_F(CodebookTest, AdcDistanceEqualsDecodedDistance) {
 }
 
 TEST_F(CodebookTest, PrefixAdcMatchesPartialSum) {
+  // A prefix table holds the full table's entries bit for bit for its
+  // subspaces and leaves the rest alone, so ADC sums over the prefix agree
+  // exactly whichever table they read.
   const FloatMatrix queries = RandomData(3, 12, 101);
   auto codes = books_.Encode(data_);
   ASSERT_TRUE(codes.ok());
-  std::vector<float> full_lut, prefix_lut;
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    books_.BuildLookupTable(queries.row(q), &full_lut);
-    books_.BuildPrefixLookupTable(queries.row(q), 2, &prefix_lut);
-    for (size_t r = 0; r < 10; ++r) {
-      const float via_prefix =
-          books_.PrefixAdcDistance(codes->row(r), prefix_lut.data(), 2);
-      float manual = 0.f;
-      for (size_t s = 0; s < 2; ++s) {
-        manual += full_lut[books_.lut_offset(s) + codes->at(r, s)];
+  constexpr float kUntouched = -1.f;
+  for (size_t prefix : {size_t{1}, size_t{2}}) {
+    const size_t prefix_end = books_.lut_offset(prefix);
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      std::vector<float> full_lut;
+      std::vector<float> prefix_lut(books_.lut_entries(), kUntouched);
+      books_.BuildLookupTable(queries.row(q), &full_lut);
+      books_.BuildLookupTable(queries.row(q), &prefix_lut, prefix);
+      ASSERT_EQ(prefix_lut.size(), full_lut.size());
+      for (size_t e = 0; e < prefix_end; ++e) {
+        EXPECT_EQ(prefix_lut[e], full_lut[e]) << "entry " << e;
       }
-      EXPECT_NEAR(via_prefix, manual, 1e-5f);
+      for (size_t e = prefix_end; e < prefix_lut.size(); ++e) {
+        EXPECT_EQ(prefix_lut[e], kUntouched) << "entry " << e;
+      }
+      for (size_t r = 0; r < 10; ++r) {
+        float via_prefix = 0.f, via_full = 0.f;
+        for (size_t s = 0; s < prefix; ++s) {
+          const size_t e = books_.lut_offset(s) + codes->at(r, s);
+          via_prefix += prefix_lut[e];
+          via_full += full_lut[e];
+        }
+        EXPECT_EQ(via_prefix, via_full);
+      }
     }
   }
 }

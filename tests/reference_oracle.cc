@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/deadline.h"
 #include "common/matrix.h"
@@ -274,6 +276,44 @@ Status ReferenceIvfSearch(const VaqIvfIndex& index, const float* query,
   return FinalizeSearchResult(stop, control.strict_deadline, &heap, out,
                               stats, before, /*trace=*/nullptr,
                               /*wall_micros=*/0.0, /*cpu_micros=*/0.0);
+}
+
+void ReferenceTiAssign(const CodeMatrix& codes, const VariableCodebooks& books,
+                       const FloatMatrix& centroids, size_t prefix_subspaces,
+                       std::vector<std::vector<uint32_t>>* members,
+                       std::vector<std::vector<float>>* distances) {
+  const size_t num_clusters = centroids.rows();
+  std::vector<std::vector<float>> cluster_luts(num_clusters);
+  for (size_t c = 0; c < num_clusters; ++c) {
+    books.BuildLookupTable(centroids.row(c), &cluster_luts[c],
+                           prefix_subspaces);
+  }
+  std::vector<std::vector<std::pair<float, uint32_t>>> staged(num_clusters);
+  for (size_t r = 0; r < codes.rows(); ++r) {
+    const uint16_t* code = codes.row(r);
+    float best = std::numeric_limits<float>::max();
+    size_t best_c = 0;
+    for (size_t c = 0; c < num_clusters; ++c) {
+      float dist = 0.f;
+      for (size_t s = 0; s < prefix_subspaces; ++s) {
+        dist += cluster_luts[c][books.lut_offset(s) + code[s]];
+      }
+      if (dist < best) {
+        best = dist;
+        best_c = c;
+      }
+    }
+    staged[best_c].push_back({std::sqrt(best), static_cast<uint32_t>(r)});
+  }
+  members->assign(num_clusters, {});
+  distances->assign(num_clusters, {});
+  for (size_t c = 0; c < num_clusters; ++c) {
+    std::sort(staged[c].begin(), staged[c].end());
+    for (const auto& [dist, id] : staged[c]) {
+      (*distances)[c].push_back(dist);
+      (*members)[c].push_back(id);
+    }
+  }
 }
 
 }  // namespace vaq

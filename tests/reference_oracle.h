@@ -1,8 +1,9 @@
-// Row-at-a-time reference searches: the scan loops the blocked kernels
-// replaced, kept as the correctness oracle for both index drivers. Every
-// row accumulates its subspaces in ascending order, exactly like the
-// blocked kernels, so the production Search must match these bit for bit
-// (neighbors and distances). Test-only: no production path runs them.
+// Row-at-a-time references: the loops the blocked kernels replaced, kept
+// as the correctness oracle for both index drivers and the TI partition
+// build. Every row accumulates its subspaces in ascending order, exactly
+// like the blocked kernels, so production must match these bit for bit
+// (neighbors and distances, cluster members and cached distances).
+// Test-only: no production path runs them.
 
 #ifndef VAQ_TESTS_REFERENCE_ORACLE_H_
 #define VAQ_TESTS_REFERENCE_ORACLE_H_
@@ -20,7 +21,7 @@ namespace vaq {
 
 /// Row-at-a-time VaqIndex::Search, visiting rows in store order (the
 /// positions of VaqIndex::store(), read through its id map). Honors every
-/// SearchParams field except `kernel` and `trace`; the deadline and
+/// SearchParams field except `trace`; the deadline and
 /// cancellation are checked where production checks them: after
 /// projection, after the LUT build, after TI ranking, every 64 store
 /// positions, between TI clusters and once per store block a TI window
@@ -42,6 +43,19 @@ Status ReferenceIvfSearch(const VaqIvfIndex& index, const float* query,
                           const QueryControl& control,
                           std::vector<Neighbor>* out,
                           SearchStats* stats = nullptr);
+
+/// Row-at-a-time TI assignment (Algorithm 3 lines 24-32) of every row of
+/// `codes` to the nearest row of `centroids` over the first
+/// `prefix_subspaces` subspaces: one prefix lookup table per centroid,
+/// each row's ADC sum accumulated from 0.f in ascending subspace order,
+/// centroids tried in ascending order with strict < (ties go to the
+/// smaller index). Fills, per cluster, the member ids and their
+/// non-squared cached distances sorted by (distance, id) — what
+/// TiPartition::Build produces for the same centroids.
+void ReferenceTiAssign(const CodeMatrix& codes, const VariableCodebooks& books,
+                       const FloatMatrix& centroids, size_t prefix_subspaces,
+                       std::vector<std::vector<uint32_t>>* members,
+                       std::vector<std::vector<float>>* distances);
 
 }  // namespace vaq
 

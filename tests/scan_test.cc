@@ -291,20 +291,18 @@ class ScanSearchEquivalenceTest : public ::testing::Test {
   VaqIndex index_;
 };
 
+// Search runs the kernel the CPU picks; ctest re-runs this suite with
+// VAQ_SCAN_KERNEL=scalar (tests/CMakeLists.txt), so both kernels are
+// checked end to end on AVX2 machines.
 TEST_F(ScanSearchEquivalenceTest, AllKernelsMatchReferenceInAllModes) {
   for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
                           SearchMode::kTriangleInequality}) {
     for (double visit : {0.25, 1.0}) {
-      for (ScanKernelType type :
-           {ScanKernelType::kScalar, ScanKernelType::kAvx2,
-            ScanKernelType::kAuto}) {
-        SearchParams params;
-        params.k = 15;
-        params.mode = mode;
-        params.visit_fraction = visit;
-        params.kernel = type;
-        ExpectMatchesOracle(params);
-      }
+      SearchParams params;
+      params.k = 15;
+      params.mode = mode;
+      params.visit_fraction = visit;
+      ExpectMatchesOracle(params);
     }
   }
 }
@@ -325,25 +323,56 @@ TEST_F(ScanSearchEquivalenceTest, SubspacePrefixesMatchReference) {
 
 TEST_F(ScanSearchEquivalenceTest, ScalarAndSimdReportIdenticalStats) {
   if (!Avx2ScanAvailable()) GTEST_SKIP() << "no AVX2 kernel in this build";
-  for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
-                          SearchMode::kTriangleInequality}) {
-    SearchParams params;
-    params.k = 15;
-    params.mode = mode;
-    for (size_t q = 0; q < queries_.rows(); ++q) {
+  // Both kernels scan the index's own store with each query's LUT: a full
+  // scan, an EA scan of the whole store, and EA scans of every partition
+  // (ranges that start and end inside blocks). The abandoning decisions
+  // depend on the partial sums, so identical counters are only possible
+  // if the kernels agree bit for bit.
+  const PartitionedCodes& store = index_.store();
+  const BlockedCodes& blocked = store.blocked();
+  const VariableCodebooks& books = index_.codebooks();
+  const size_t m = books.num_subspaces();
+  enum class Variant { kFull, kEa, kEaPerPartition };
+  std::vector<float> projected, lut;
+  float acc[kScanBlockSize];
+  auto run = [&](ScanKernelType type, Variant variant, TopKHeap* heap,
+                 SearchStats* stats) {
+    const ScanKernel& kernel = GetScanKernel(type);
+    if (variant == Variant::kFull) {
+      BlockedFullScan(blocked, store.ids().data(), lut.data(),
+                      books.lut_offsets(), m, kernel, acc, heap, stats);
+    } else if (variant == Variant::kEa) {
+      BlockedEaScan(blocked, 0, blocked.rows(), store.ids().data(),
+                    lut.data(), books.lut_offsets(), m, /*interval=*/4,
+                    kernel, acc, heap, stats);
+    } else {
+      for (size_t c = 0; c < store.num_partitions(); ++c) {
+        BlockedEaScan(blocked, store.partition_begin(c),
+                      store.partition_end(c), store.ids().data(), lut.data(),
+                      books.lut_offsets(), m, /*interval=*/1, kernel, acc,
+                      heap, stats);
+      }
+    }
+  };
+  for (size_t q = 0; q < queries_.rows(); ++q) {
+    index_.ProjectQuery(queries_.row(q), &projected);
+    books.BuildLookupTable(projected.data(), &lut);
+    for (Variant variant :
+         {Variant::kFull, Variant::kEa, Variant::kEaPerPartition}) {
+      TopKHeap scalar_heap(15), simd_heap(15);
       SearchStats scalar_stats, simd_stats;
-      std::vector<Neighbor> out;
-      params.kernel = ScanKernelType::kScalar;
-      ASSERT_TRUE(
-          index_.Search(queries_.row(q), params, &out, &scalar_stats).ok());
-      params.kernel = ScanKernelType::kAvx2;
-      ASSERT_TRUE(
-          index_.Search(queries_.row(q), params, &out, &simd_stats).ok());
+      run(ScanKernelType::kScalar, variant, &scalar_heap, &scalar_stats);
+      run(ScanKernelType::kAvx2, variant, &simd_heap, &simd_stats);
       EXPECT_EQ(scalar_stats.codes_visited, simd_stats.codes_visited);
-      EXPECT_EQ(scalar_stats.codes_skipped_ti, simd_stats.codes_skipped_ti);
+      EXPECT_EQ(scalar_stats.rows_scanned, simd_stats.rows_scanned);
       EXPECT_EQ(scalar_stats.lut_adds, simd_stats.lut_adds);
-      EXPECT_EQ(scalar_stats.clusters_visited, simd_stats.clusters_visited);
-      EXPECT_EQ(scalar_stats.partitions_total, simd_stats.partitions_total);
+      const std::vector<Neighbor> a = scalar_heap.TakeSorted();
+      const std::vector<Neighbor> b = simd_heap.TakeSorted();
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].id, b[i].id) << "q=" << q << " i=" << i;
+        EXPECT_EQ(a[i].distance, b[i].distance) << "q=" << q;
+      }
     }
   }
 }
@@ -480,22 +509,18 @@ TEST(VaqIvfScanTest, BlockedKernelsMatchReferenceScan) {
   opts.vaq.kmeans_iters = 8;
   opts.coarse_k = 16;
   opts.default_nprobe = 16;  // all lists: results must be exhaustive-exact
-  for (ScanKernelType type : {ScanKernelType::kScalar, ScanKernelType::kAuto}) {
-    opts.scan_kernel = type;
-    auto index = VaqIvfIndex::Train(data, opts);
-    ASSERT_TRUE(index.ok()) << index.status().ToString();
-    for (size_t q = 0; q < queries.rows(); ++q) {
-      std::vector<Neighbor> want, got;
-      ASSERT_TRUE(ReferenceIvfSearch(*index, queries.row(q), 10,
-                                     opts.default_nprobe, QueryControl{},
-                                     &want)
-                      .ok());
-      ASSERT_TRUE(index->Search(queries.row(q), 10, 0, &got).ok());
-      ASSERT_EQ(want.size(), got.size());
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(want[i].id, got[i].id) << "q=" << q << " i=" << i;
-        EXPECT_EQ(want[i].distance, got[i].distance);
-      }
+  auto index = VaqIvfIndex::Train(data, opts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    std::vector<Neighbor> want, got;
+    ASSERT_TRUE(ReferenceIvfSearch(*index, queries.row(q), 10,
+                                   opts.default_nprobe, QueryControl{}, &want)
+                    .ok());
+    ASSERT_TRUE(index->Search(queries.row(q), 10, 0, &got).ok());
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].id, got[i].id) << "q=" << q << " i=" << i;
+      EXPECT_EQ(want[i].distance, got[i].distance);
     }
   }
 }

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <sstream>
 
 #include "common/rng.h"
+#include "core/vaq_index.h"
+#include "datasets/synthetic.h"
+#include "reference_oracle.h"
 
 namespace vaq {
 namespace {
@@ -62,6 +67,94 @@ void ExpectRankedAscending(const std::vector<float>& dist,
       EXPECT_TRUE(dist[last] < dist[c] || (dist[last] == dist[c] && last < c))
           << "cluster " << c << " left out of the ranked prefix";
     }
+  }
+}
+
+/// `members` and the cached distances of `ti` equal, bit for bit, what the
+/// row-at-a-time oracle assigns over `codes` with the same centroids.
+void ExpectMatchesOracle(const TiPartition& ti, const CodeMatrix& codes,
+                         const VariableCodebooks& books,
+                         const std::vector<std::vector<uint32_t>>& members) {
+  std::vector<std::vector<uint32_t>> want_members;
+  std::vector<std::vector<float>> want_distances;
+  ReferenceTiAssign(codes, books, ti.centroids(), ti.prefix_subspaces(),
+                    &want_members, &want_distances);
+  ASSERT_EQ(members.size(), want_members.size());
+  for (size_t c = 0; c < want_members.size(); ++c) {
+    EXPECT_EQ(members[c], want_members[c]) << "cluster " << c;
+    EXPECT_EQ(ti.distances(c), want_distances[c]) << "cluster " << c;
+  }
+}
+
+TEST_F(TiPartitionTest, BuildMatchesRowAtATimeOracle) {
+  // 800 and 130 rows end inside a 64-row block. Over 2 prefix subspaces of
+  // 4 bits there are at most 256 distinct prefix codes, so 300 clusters
+  // force duplicate centroids, whose ties go to the smaller index.
+  std::vector<size_t> first(130);
+  std::iota(first.begin(), first.end(), size_t{0});
+  CodeMatrix head = codes_.GatherRows(first);
+  for (const CodeMatrix* codes : {&codes_, &head}) {
+    for (size_t clusters : {size_t{16}, size_t{300}}) {
+      for (size_t threads : {size_t{1}, size_t{3}, size_t{0}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "rows=" << codes->rows() << " clusters=" << clusters
+                     << " threads=" << threads);
+        TiPartitionOptions topts;
+        topts.num_clusters = clusters;
+        topts.prefix_subspaces = 2;
+        topts.seed = 9;
+        topts.num_threads = threads;
+        TiPartition ti;
+        std::vector<std::vector<uint32_t>> members;
+        ASSERT_TRUE(ti.Build(*codes, books_, topts, &members).ok());
+        ExpectMatchesOracle(ti, *codes, books_, members);
+      }
+    }
+  }
+  // The 300-cluster build over 800 rows really has duplicate centroids.
+  TiPartitionOptions topts;
+  topts.num_clusters = 300;
+  topts.prefix_subspaces = 2;
+  topts.seed = 9;
+  TiPartition ti;
+  std::vector<std::vector<uint32_t>> members;
+  ASSERT_TRUE(ti.Build(codes_, books_, topts, &members).ok());
+  std::set<std::vector<float>> distinct;
+  for (size_t c = 0; c < ti.num_clusters(); ++c) {
+    const float* row = ti.centroids().row(c);
+    distinct.insert(std::vector<float>(row, row + ti.prefix_dims()));
+  }
+  EXPECT_LT(distinct.size(), ti.num_clusters());
+}
+
+TEST_F(TiPartitionTest, TrainThenAddMatchesOracleOverMergedCodes) {
+  // Add rebuilds the partition over the merged codes; its clusters are
+  // the store's partitions.
+  const FloatMatrix data = GenerateSpectrumMixture(
+      1000, 32, PowerLawSpectrum(32, 1.2), 8, 1.0, 21);
+  FloatMatrix head(700, data.cols()), rest(300, data.cols());
+  std::copy_n(data.data(), head.size(), head.data());
+  std::copy_n(data.data() + head.size(), rest.size(), rest.data());
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE(::testing::Message() << "train_threads=" << threads);
+    VaqOptions opts;
+    opts.num_subspaces = 8;
+    opts.total_bits = 48;
+    opts.ti_clusters = 40;
+    opts.kmeans_iters = 8;
+    opts.train_threads = threads;
+    auto index = VaqIndex::Train(head, opts);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    ASSERT_TRUE(index->Add(rest).ok());
+    const PartitionedCodes& store = index->store();
+    ASSERT_EQ(store.rows(), data.rows());
+    std::vector<std::vector<uint32_t>> members(store.num_partitions());
+    for (size_t c = 0; c < members.size(); ++c) {
+      members[c].assign(store.ids().begin() + store.partition_begin(c),
+                        store.ids().begin() + store.partition_end(c));
+    }
+    ExpectMatchesOracle(index->ti_partition(), store.RowCodes(),
+                        index->codebooks(), members);
   }
 }
 

@@ -40,7 +40,6 @@ class KMeans {
 
   /// Cluster centers, one per row.
   const FloatMatrix& centroids() const { return centroids_; }
-  FloatMatrix* mutable_centroids() { return &centroids_; }
 
   /// Restores a trained state from serialized centroids (index Load
   /// paths). Requires a non-empty matrix.

@@ -12,6 +12,13 @@
 #include "common/parallel.h"
 
 namespace vaq {
+namespace {
+
+/// Dictionaries larger than 2^this are trained by hierarchical k-means
+/// (Section III-D: "beyond 2^10 entries").
+constexpr int kHierarchicalThresholdBits = 10;
+
+}  // namespace
 
 Status VariableCodebooks::Train(const FloatMatrix& projected,
                                 const SubspaceLayout& layout,
@@ -41,7 +48,7 @@ Status VariableCodebooks::Train(const FloatMatrix& projected,
     const SubspaceSpan& span = layout.span(s);
     const FloatMatrix sub = projected.SliceColumns(span.offset, span.length);
     const size_t k = size_t{1} << bits[s];
-    if (static_cast<size_t>(bits[s]) > options.hierarchical_threshold_bits) {
+    if (bits[s] > kHierarchicalThresholdBits) {
       HierarchicalKMeansOptions hopts;
       hopts.k = k;
       hopts.coarse_k = 64;

@@ -22,7 +22,9 @@ inline constexpr size_t kScanBlockSize = 64;
 /// kernels, the index drivers, and the benchmarks agree on one vocabulary.
 struct SearchStats {
   size_t codes_visited = 0;      ///< codes whose distance accumulation began
-  size_t codes_skipped_ti = 0;   ///< codes pruned by the triangle inequality
+  /// Store positions pruned by the triangle inequality; a position counts
+  /// once, when the TI window first excludes it.
+  size_t codes_skipped_ti = 0;
   size_t lut_adds = 0;           ///< lookup-table additions performed
 
   // The plan, stamped by SearchQuery before projection (assignment, not
@@ -193,21 +195,19 @@ void RankPartitions(const FloatMatrix& centroids, const float* query,
                     std::vector<size_t>* order);
 
 /// Full blocked scan (SearchMode::kHeap): accumulates all `s_limit`
-/// subspaces for every row of `bc` and pushes every distance. `ids` maps
-/// blocked row index -> global id (nullptr = identity). `acc` is a
-/// caller-owned kScanBlockSize buffer (SearchScratch::acc).
-///
-/// `stop` (optional) is consulted once per 64-row block; when it fires
-/// the scan returns immediately with the heap holding the best-so-far
-/// top-k over the rows already processed. Passing nullptr (the default)
-/// keeps the loop free of any deadline overhead.
+/// subspaces for every row of `bc` and pushes every distance. It is
+/// BlockedEaScan over all rows with `interval = s_limit`, whose abandon
+/// check never runs; see there for `ids`, `acc` and `stop`.
 void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,
                      const float* lut, const uint32_t* lut_offsets,
                      size_t s_limit, const ScanKernel& kernel, float* acc,
                      TopKHeap* heap, SearchStats* stats,
                      StopController* stop = nullptr);
 
-/// Blocked early-abandoning scan of rows [row_begin, row_end) of `bc`.
+/// Blocked early-abandoning scan of rows [row_begin, row_end) of `bc`,
+/// the one block loop behind every search mode. `ids` maps blocked row
+/// index -> global id (nullptr = identity). `acc` is a caller-owned
+/// kScanBlockSize buffer (SearchScratch::acc).
 /// The best-so-far threshold is read once per block; after every
 /// `interval` subspaces the block is abandoned when the minimum partial
 /// sum over its active lanes already exceeds that threshold (no lane can
@@ -216,7 +216,11 @@ void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,
 /// sum is never mistaken for a distance — the same invariant as the
 /// reference per-row early abandon, and therefore the same final top-k.
 /// [row_begin, row_end) may start and end inside blocks.
-/// `stop` has the same block-granular semantics as in BlockedFullScan.
+///
+/// `stop` (optional) is consulted once per 64-row block; when it fires
+/// the scan returns immediately with the heap holding the best-so-far
+/// top-k over the rows already processed. Passing nullptr (the default)
+/// keeps the loop free of any deadline overhead.
 void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
                    const uint32_t* ids, const float* lut,
                    const uint32_t* lut_offsets, size_t s_limit,

@@ -10,16 +10,16 @@
 #include <cstddef>
 #include <cstdint>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
+#if !defined(__AVX2__)
+#error "scan_avx2.cc must be compiled with -mavx2 (src/core/CMakeLists.txt)"
 #endif
+
+#include <immintrin.h>
 
 #include "core/scan.h"
 
 namespace vaq {
 namespace internal {
-
-#if defined(__AVX2__)
 
 void Avx2Accumulate(const uint16_t* block, const float* lut,
                     const uint32_t* lut_offsets, size_t s_begin, size_t s_end,
@@ -88,22 +88,6 @@ void Avx2Accumulate(const uint16_t* block, const float* lut,
   _mm256_storeu_ps(acc + 48, a6);
   _mm256_storeu_ps(acc + 56, a7);
 }
-
-#else
-
-// Defensive fallback: if the build system compiled this TU without AVX2
-// the dispatcher never selects it, but the symbol must still link.
-void Avx2Accumulate(const uint16_t* block, const float* lut,
-                    const uint32_t* lut_offsets, size_t s_begin, size_t s_end,
-                    float* acc) {
-  for (size_t s = s_begin; s < s_end; ++s) {
-    const float* base = lut + lut_offsets[s];
-    const uint16_t* codes = block + s * kScanBlockSize;
-    for (size_t i = 0; i < kScanBlockSize; ++i) acc[i] += base[codes[i]];
-  }
-}
-
-#endif  // __AVX2__
 
 }  // namespace internal
 }  // namespace vaq

@@ -81,16 +81,17 @@ Status TiPartition::Build(const CodeMatrix& codes,
   }
 
   // Sort each cluster ascending by centroid distance (Section III-D keeps
-  // members ordered from closest to furthest).
-  distances_.assign(num_clusters, {});
+  // members ordered from closest to furthest). The store lays the
+  // clusters out in order, so their distances concatenate by position.
+  distances_.clear();
+  distances_.reserve(n);
   members->assign(num_clusters, {});
   for (size_t c = 0; c < num_clusters; ++c) {
     auto& staged_members = staged[c];
     std::sort(staged_members.begin(), staged_members.end());
-    distances_[c].reserve(staged_members.size());
     (*members)[c].reserve(staged_members.size());
     for (const auto& [dist, id] : staged_members) {
-      distances_[c].push_back(dist);
+      distances_.push_back(dist);
       (*members)[c].push_back(id);
     }
   }
@@ -103,12 +104,12 @@ void TiPartition::Save(std::ostream& os,
   WritePod<uint8_t>(os, built_ ? 1 : 0);
   WritePod<uint64_t>(os, prefix_subspaces_);
   WriteMatrix(os, centroids_);
-  WritePod<uint64_t>(os, distances_.size());
-  for (size_t c = 0; c < distances_.size(); ++c) {
+  WritePod<uint64_t>(os, num_clusters());
+  for (size_t c = 0; c < num_clusters(); ++c) {
     const size_t begin = store.partition_begin(c);
-    WriteSpan(os, store.ids().data() + begin,
-              store.partition_end(c) - begin);
-    WriteVector(os, distances_[c]);
+    const size_t count = store.partition_end(c) - begin;
+    WriteSpan(os, store.ids().data() + begin, count);
+    WriteSpan(os, distances_.data() + begin, count);
   }
 }
 
@@ -129,14 +130,22 @@ Status TiPartition::Load(std::istream& is,
                            "(corrupted file?)");
   }
   members->assign(num, {});
-  distances_.assign(num, {});
+  distances_.clear();
+  // Past the two headers a cluster costs 8 bytes per member (id and
+  // distance), so the remaining payload gives the member total: reserve
+  // it, and the array is allocated once rather than grown.
+  if (remaining >= 0) {
+    distances_.reserve((static_cast<uint64_t>(remaining) - 16 * num) / 8);
+  }
+  std::vector<float> cluster;
   for (size_t c = 0; c < num; ++c) {
     VAQ_RETURN_IF_ERROR(ReadVector(is, &(*members)[c]));
-    VAQ_RETURN_IF_ERROR(ReadVector(is, &distances_[c]));
-    if ((*members)[c].size() != distances_[c].size()) {
+    VAQ_RETURN_IF_ERROR(ReadVector(is, &cluster));
+    if ((*members)[c].size() != cluster.size()) {
       return Status::IoError("corrupted TI partition: id/distance arrays "
                              "disagree in length");
     }
+    distances_.insert(distances_.end(), cluster.begin(), cluster.end());
   }
   prefix_subspaces_ = prefix;
   built_ = built != 0;
@@ -154,27 +163,29 @@ Status TiPartition::ValidateInvariants(const PartitionedCodes& store,
     return Status::Internal("TI centroid width disagrees with the layout's "
                             "prefix dimensions");
   }
-  if (centroids_.rows() != distances_.size() || distances_.empty()) {
-    return Status::Internal("TI centroid/cluster counts disagree");
+  if (centroids_.rows() == 0) {
+    return Status::Internal("TI partition has no clusters");
   }
   for (size_t i = 0; i < centroids_.size(); ++i) {
     if (!std::isfinite(centroids_.data()[i])) {
       return Status::Internal("TI centroids contain non-finite values");
     }
   }
-  // The store's partitions are the clusters, member for member.
-  if (store.num_partitions() != distances_.size()) {
+  // The store's partitions are the clusters, member for member, and every
+  // position has one cached distance.
+  if (store.num_partitions() != num_clusters()) {
     return Status::Internal("TI cluster count disagrees with the code "
                             "store's partitions");
   }
-  for (size_t c = 0; c < distances_.size(); ++c) {
-    const std::vector<float>& cached = distances_[c];
-    if (cached.size() != store.partition_end(c) - store.partition_begin(c)) {
-      return Status::Internal("TI cached distances disagree with the "
-                              "cluster's member count");
-    }
+  if (distances_.size() != store.rows()) {
+    return Status::Internal("TI cached distances disagree with the store's "
+                            "position count");
+  }
+  for (size_t c = 0; c < num_clusters(); ++c) {
     float prev = 0.f;
-    for (float d : cached) {
+    for (size_t pos = store.partition_begin(c); pos < store.partition_end(c);
+         ++pos) {
+      const float d = distances_[pos];
       if (!std::isfinite(d) || d < 0.f || d < prev) {
         return Status::Internal("TI cached distances are not sorted "
                                 "non-negative finite values");

@@ -38,7 +38,8 @@ struct TiPartitionOptions {
 ///
 /// The member ids themselves live in the index's PartitionedCodes, whose
 /// partition c holds cluster c's members in this same order; the
-/// partition keeps only centroids and cached distances.
+/// partition keeps only centroids and the cached distances, indexed by
+/// store position like PartitionedCodes::ids().
 class TiPartition {
  public:
   TiPartition() = default;
@@ -50,13 +51,12 @@ class TiPartition {
                const TiPartitionOptions& options,
                std::vector<std::vector<uint32_t>>* members);
 
-  size_t num_clusters() const { return distances_.size(); }
+  size_t num_clusters() const { return centroids_.rows(); }
   size_t prefix_subspaces() const { return prefix_subspaces_; }
   size_t prefix_dims() const { return centroids_.cols(); }
-  /// Cluster `c`'s cached centroid distances, ascending.
-  const std::vector<float>& distances(size_t c) const {
-    return distances_[c];
-  }
+  /// Each store position's cached distance to its cluster's centroid;
+  /// ascending within every partition of the store.
+  const std::vector<float>& distances() const { return distances_; }
 
   /// Cluster centroids in decoded (prefix) float space; queries rank them
   /// through RankPartitions (core/scan.h).
@@ -70,7 +70,8 @@ class TiPartition {
 
   /// Post-load semantic validation against the store the partition
   /// serves: prefix bounds, centroid width, one store partition per
-  /// cluster with one sorted finite cached distance per member.
+  /// cluster, one finite cached distance per position, sorted within
+  /// each partition.
   /// `expected_prefix_dims` is the width of the layout's first
   /// prefix_subspaces() spans.
   Status ValidateInvariants(const PartitionedCodes& store,
@@ -81,7 +82,7 @@ class TiPartition {
   bool built_ = false;
   size_t prefix_subspaces_ = 0;
   FloatMatrix centroids_;
-  std::vector<std::vector<float>> distances_;  ///< per cluster, ascending
+  std::vector<float> distances_;  ///< per store position
 };
 
 }  // namespace vaq

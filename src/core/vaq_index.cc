@@ -165,9 +165,9 @@ Status VaqIndex::Search(const float* query, const SearchParams& params,
                      });
 }
 
-/// Blocked scan dispatch: all three SearchModes run on the transposed
-/// cache-blocked layout through the kernel the CPU supports. Accumulation
-/// order per row is identical to the row-at-a-time oracle in
+/// Blocked scan dispatch: every SearchMode is BlockedEaScan over store
+/// ranges, through the kernel the CPU supports. Accumulation order per
+/// row is identical to the row-at-a-time oracle in
 /// tests/reference_oracle.cc, so neighbors and distances match it bit for
 /// bit; only the work counters reflect the block-granular (rather than
 /// row-granular) abandoning decisions.
@@ -178,80 +178,54 @@ void VaqIndex::Scan(const SearchParams& params, SearchMode mode,
   const uint32_t* lut_offsets = codebooks().lut_offsets();
   const float* lut = scratch->lut.data();
   TopKHeap* heap = &scratch->heap;
-  const size_t interval = std::max<size_t>(1, params.ea_check_interval);
+  const BlockedCodes& blocked = store_.blocked();
+  const uint32_t* ids = store_.ids().data();
 
   // Heap and EA walk the whole store; its cluster order does not change
   // their answers, because the heap keeps the k smallest (distance, id).
-  const BlockedCodes& blocked = store_.blocked();
-  const uint32_t* ids = store_.ids().data();
-  if (mode == SearchMode::kHeap) {
-    BlockedFullScan(blocked, ids, lut, lut_offsets, s_limit, kernel,
-                    scratch->acc, heap, stats, stop);
-    return;
-  }
-  if (mode == SearchMode::kEarlyAbandon) {
+  // Heap is EA whose abandon check never runs before the last subspace.
+  if (mode != SearchMode::kTriangleInequality) {
+    const size_t interval =
+        mode == SearchMode::kHeap ? s_limit : params.ea_check_interval;
     BlockedEaScan(blocked, 0, blocked.rows(), ids, lut, lut_offsets, s_limit,
                   interval, kernel, scratch->acc, heap, stats, stop);
     return;
   }
 
-  // Triangle inequality cascade (Algorithm 4), block-wise, over one of
-  // the clusters nearest the query (SearchQuery ranks them and calls this
-  // once per visited cluster): within the cluster the sorted cached
-  // distances bound a candidate window that is re-tightened from the live
-  // threshold before each block rather than before each row.
-  // The cluster is store positions [base, base + size); the window
-  // indexes below are relative to base.
-  const size_t base = store_.partition_begin(partition);
-  const size_t size = store_.partition_end(partition) - base;
-  if (size == 0) return;
+  // Triangle inequality cascade (Algorithm 4) over one of the clusters
+  // nearest the query; SearchQuery ranks them and calls this once per
+  // visited cluster. A member x can beat the best-so-far radius r only if
+  // |dq - d(x, centroid)| < r, i.e. d(x, centroid) in (dq - r, dq + r).
+  // The cluster's store positions ascend by that cached distance, so
+  // while the heap is full the window [begin, end) is narrowed by binary
+  // search from the live threshold before each block rather than before
+  // each row. A position counts as skipped when the window first
+  // excludes it.
+  size_t begin = store_.partition_begin(partition);
+  size_t end = store_.partition_end(partition);
   const float dq = std::sqrt(scratch->partition_dist[partition]);
-  const float* cached = ti_.distances(partition).data();
-
-  // Members that can beat the best-so-far satisfy
-  // |dq - d(x, centroid)| < bsf, i.e. d(x, centroid) in (dq-r, dq+r).
-  size_t begin = 0;
-  size_t end = size;
-  if (heap->full()) {
-    const float r = std::sqrt(heap->Threshold());
-    begin = std::lower_bound(cached, cached + end, dq - r) - cached;
-    end = std::upper_bound(cached + begin, cached + end, dq + r) - cached;
-    if (stats != nullptr) stats->codes_skipped_ti += size - (end - begin);
-  }
-  size_t i = begin;
-  while (i < end) {
-    size_t stop_row = end;
+  const float* cached = ti_.distances().data();
+  while (begin < end) {
     if (heap->full()) {
       const float r = std::sqrt(heap->Threshold());
-      // Leading members too close to the centroid cannot improve.
-      const size_t skip_to =
-          std::upper_bound(cached + i, cached + end, dq - r) - cached;
-      if (stats != nullptr) stats->codes_skipped_ti += skip_to - i;
-      i = skip_to;
-      if (i >= end) break;
-      // Sorted ascending: everything at or past dq + r is out of range.
-      stop_row =
-          std::lower_bound(cached + i, cached + end, dq + r) - cached;
-      if (stop_row == i) {
-        if (stats != nullptr) stats->codes_skipped_ti += end - i;
-        break;
-      }
+      const size_t lo =
+          std::upper_bound(cached + begin, cached + end, dq - r) - cached;
+      const size_t hi =
+          std::lower_bound(cached + lo, cached + end, dq + r) - cached;
+      if (stats != nullptr) stats->codes_skipped_ti += lo - begin + end - hi;
+      begin = lo;
+      end = hi;
+      if (begin == end) break;
     }
-    // Scan to the nearer of the window edge and the store's next block
-    // boundary, so the window is re-tightened against the improved
-    // threshold before the next block starts.
-    const size_t chunk_end = std::min(
-        stop_row,
-        ((base + i) / kScanBlockSize + 1) * kScanBlockSize - base);
-    BlockedEaScan(blocked, base + i, base + chunk_end, ids, lut, lut_offsets,
-                  s_limit, interval, kernel, scratch->acc, heap, stats,
-                  stop);
+    // Scan to the window's end or the store's next block boundary,
+    // whichever is nearer, then narrow again.
+    const size_t chunk_end =
+        std::min(end, (begin / kScanBlockSize + 1) * kScanBlockSize);
+    BlockedEaScan(blocked, begin, chunk_end, ids, lut, lut_offsets, s_limit,
+                  params.ea_check_interval, kernel, scratch->acc, heap,
+                  stats, stop);
     if (stop != nullptr && stop->stopped()) return;
-    if (chunk_end == stop_row && stop_row < end) {
-      if (stats != nullptr) stats->codes_skipped_ti += end - stop_row;
-      break;
-    }
-    i = chunk_end;
+    begin = chunk_end;
   }
 }
 

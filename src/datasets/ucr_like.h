@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/matrix.h"
 #include "common/status.h"
@@ -42,9 +41,6 @@ class UcrArchiveGenerator {
 
   /// Generates dataset `index` (train/test split included).
   UcrLikeDataset Generate(size_t index) const;
-
-  /// Convenience: all `count` datasets.
-  std::vector<UcrLikeDataset> GenerateAll(size_t count = kDefaultCount) const;
 
  private:
   uint64_t seed_;

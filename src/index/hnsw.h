@@ -35,7 +35,6 @@ class HnswIndex {
   Status Build(const FloatMatrix& data, const HnswOptions& options);
 
   size_t size() const { return data_.rows(); }
-  int max_level() const { return max_level_; }
 
   /// k-NN search. `ef` widens the layer-0 beam (0 uses the build-time
   /// default); recall grows with ef at the cost of runtime.

@@ -66,8 +66,6 @@ class InvertedMultiIndex : public Quantizer {
                           std::vector<Neighbor>* out) const;
 
  private:
-  size_t half_dim() const { return half_dim_; }
-
   ImiOptions options_;
   size_t half_dim_ = 0;
   size_t full_dim_ = 0;

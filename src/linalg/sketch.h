@@ -24,7 +24,6 @@ class FrequentDirections {
 
   size_t dim() const { return dim_; }
   size_t sketch_size() const { return sketch_size_; }
-  size_t rows_seen() const { return rows_seen_; }
 
   /// Feeds one row of length dim().
   void Append(const float* row);
@@ -36,7 +35,8 @@ class FrequentDirections {
   const FloatMatrix& Finalize();
 
   /// Approximate covariance (1/n) B^T B of the appended rows (call after
-  /// Finalize or let it finalize internally). Requires rows_seen() > 0.
+  /// Finalize or let it finalize internally). Requires at least one
+  /// appended row.
   Result<DoubleMatrix> ApproximateCovariance();
 
  private:

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 
 #include "common/io.h"
 #include "common/macros.h"
 #include "common/serialize.h"
-#include "linalg/covariance.h"
 #include "linalg/pca.h"
 #include "linalg/svd.h"
 
@@ -42,9 +39,22 @@ std::vector<size_t> EigenvalueAllocation(const std::vector<double>& evals,
   return assignment;
 }
 
+/// The inner PQ's share of the options.
+PqOptions InnerPqOptions(const OpqOptions& options) {
+  PqOptions pq;
+  pq.num_subspaces = options.num_subspaces;
+  pq.bits_per_subspace = options.bits_per_subspace;
+  pq.kmeans_iters = options.kmeans_iters;
+  pq.seed = options.seed;
+  return pq;
+}
+
 }  // namespace
 
-void OptimizedProductQuantizer::RotateRow(const float* x, float* out) const {
+OptimizedProductQuantizer::OptimizedProductQuantizer(const OpqOptions& options)
+    : options_(options), pq_(InnerPqOptions(options)) {}
+
+void OptimizedProductQuantizer::Project(const float* x, float* out) const {
   const size_t d = rotation_.rows();
   for (size_t j = 0; j < d; ++j) out[j] = 0.f;
   for (size_t i = 0; i < d; ++i) {
@@ -56,12 +66,8 @@ void OptimizedProductQuantizer::RotateRow(const float* x, float* out) const {
 }
 
 Status OptimizedProductQuantizer::Train(const FloatMatrix& data) {
-  if (options_.bits_per_subspace < 1 || options_.bits_per_subspace > 16) {
-    return Status::InvalidArgument("bits_per_subspace must be in [1, 16]");
-  }
   const size_t d = data.cols();
-  VAQ_ASSIGN_OR_RETURN(SubspaceLayout layout,
-                       SubspaceLayout::Uniform(d, options_.num_subspaces));
+  VAQ_ASSIGN_OR_RETURN(SubspaceLayout layout, pq_.UniformLayout(d));
 
   // Parametric initialization: PCA + eigenvalue allocation.
   Pca pca;
@@ -95,71 +101,40 @@ Status OptimizedProductQuantizer::Train(const FloatMatrix& data) {
     means_ = pca.means();
   }
 
-  // Centered data, rotated.
+  // Centered data (the Procrustes input) and the rotated data PQ trains on.
   FloatMatrix centered(data.rows(), d);
   for (size_t r = 0; r < data.rows(); ++r) {
     const float* src = data.row(r);
     float* dst = centered.row(r);
     for (size_t j = 0; j < d; ++j) dst[j] = src[j] - means_[j];
   }
-
-  CodebookOptions copts;
-  copts.kmeans_iters = options_.kmeans_iters;
-  std::vector<int> bits(options_.num_subspaces,
-                        static_cast<int>(options_.bits_per_subspace));
-
   FloatMatrix rotated(data.rows(), d);
   auto rotate_all = [&]() {
     for (size_t r = 0; r < data.rows(); ++r) {
-      const float* src = centered.row(r);
-      float* dst = rotated.row(r);
-      for (size_t j = 0; j < d; ++j) dst[j] = 0.f;
-      for (size_t i = 0; i < d; ++i) {
-        const float v = src[i];
-        if (v == 0.f) continue;
-        const float* rrow = rotation_.row(i);
-        for (size_t j = 0; j < d; ++j) dst[j] += v * rrow[j];
-      }
+      Project(data.row(r), rotated.row(r));
     }
   };
   rotate_all();
-  copts.seed = options_.seed;
-  VAQ_RETURN_IF_ERROR(books_.Train(rotated, layout, bits, copts));
+  VAQ_RETURN_IF_ERROR(pq_.TrainCodebooks(rotated, layout, options_.seed));
 
   // Non-parametric refinement (OPQ_NP): alternate encoding and Procrustes
   // rotation updates.
+  const VariableCodebooks& books = pq_.books_;
   for (int iter = 0; iter < options_.refine_iters; ++iter) {
-    VAQ_ASSIGN_OR_RETURN(CodeMatrix codes, books_.Encode(rotated));
+    VAQ_ASSIGN_OR_RETURN(CodeMatrix codes, books.Encode(rotated));
     FloatMatrix decoded(data.rows(), d);
     for (size_t r = 0; r < data.rows(); ++r) {
-      books_.DecodeRow(codes.row(r), decoded.row(r));
+      books.DecodeRow(codes.row(r), decoded.row(r));
     }
     auto new_rotation = OrthogonalProcrustes(centered, decoded);
     if (!new_rotation.ok()) return new_rotation.status();
     rotation_ = std::move(*new_rotation);
     rotate_all();
-    copts.seed = options_.seed + iter + 1;
-    VAQ_RETURN_IF_ERROR(books_.Train(rotated, layout, bits, copts));
+    VAQ_RETURN_IF_ERROR(
+        pq_.TrainCodebooks(rotated, layout, options_.seed + iter + 1));
   }
 
-  VAQ_ASSIGN_OR_RETURN(codes_, books_.Encode(rotated));
-  VAQ_ASSIGN_OR_RETURN(train_error_, books_.ReconstructionError(rotated));
-
-  // Subspace importance ranking from the rotated training variance.
-  const std::vector<double> dim_vars = ColumnVariances(rotated);
-  subspace_variances_ = layout.SubspaceVariances(dim_vars);
-  const double total = std::accumulate(subspace_variances_.begin(),
-                                       subspace_variances_.end(), 0.0);
-  if (total > 0.0) {
-    for (double& v : subspace_variances_) v /= total;
-  }
-  subspace_order_.resize(options_.num_subspaces);
-  std::iota(subspace_order_.begin(), subspace_order_.end(), size_t{0});
-  std::sort(subspace_order_.begin(), subspace_order_.end(),
-            [this](size_t a, size_t b) {
-              return subspace_variances_[a] > subspace_variances_[b];
-            });
-  return Status::OK();
+  return pq_.EncodeAndRank(rotated);
 }
 
 Status OptimizedProductQuantizer::Search(const float* query, size_t k,
@@ -172,9 +147,6 @@ constexpr char kOpqMagic[8] = {'V', 'A', 'Q', 'O', 'P', 'Q', '0', '1'};
 constexpr uint32_t kOpqFormatVersion = 1;
 constexpr uint32_t kSecOptions = SectionTag('O', 'P', 'T', 'S');
 constexpr uint32_t kSecRotation = SectionTag('R', 'O', 'T', '8');
-constexpr uint32_t kSecBooks = SectionTag('B', 'O', 'O', 'K');
-constexpr uint32_t kSecCodes = SectionTag('C', 'O', 'D', 'E');
-constexpr uint32_t kSecStats = SectionTag('S', 'T', 'A', 'T');
 }  // namespace
 
 void OptimizedProductQuantizer::SaveOptionsSection(std::ostream& os) const {
@@ -202,6 +174,7 @@ Status OptimizedProductQuantizer::LoadOptionsSection(std::istream& is) {
   options_.seed = u64;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u8));
   options_.center = u8 != 0;
+  pq_ = ProductQuantizer(InnerPqOptions(options_));
   return Status::OK();
 }
 
@@ -216,36 +189,9 @@ Status OptimizedProductQuantizer::LoadRotationSection(std::istream& is) {
   return Status::OK();
 }
 
-void OptimizedProductQuantizer::SaveStatsSection(std::ostream& os) const {
-  WriteVector(os, subspace_variances_);
-  WriteVector(os, std::vector<uint64_t>(subspace_order_.begin(),
-                                        subspace_order_.end()));
-  WritePod<double>(os, train_error_);
-}
-
-Status OptimizedProductQuantizer::LoadStatsSection(std::istream& is) {
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &subspace_variances_));
-  std::vector<uint64_t> order64;
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &order64));
-  subspace_order_.assign(order64.begin(), order64.end());
-  VAQ_RETURN_IF_ERROR(ReadPod(is, &train_error_));
-  return Status::OK();
-}
-
 Status OptimizedProductQuantizer::ValidateInvariants() const {
-  VAQ_RETURN_IF_ERROR(books_.ValidateInvariants());
-  const size_t m = books_.num_subspaces();
-  const size_t d = books_.dim();
-  if (m != options_.num_subspaces) {
-    return Status::Internal("codebook subspace count disagrees with "
-                            "options");
-  }
-  for (int b : books_.bits()) {
-    if (static_cast<size_t>(b) != options_.bits_per_subspace) {
-      return Status::Internal("codebook bits disagree with the uniform "
-                              "bits_per_subspace option");
-    }
-  }
+  VAQ_RETURN_IF_ERROR(pq_.ValidateInvariants());
+  const size_t d = pq_.books_.dim();
   if (rotation_.rows() != d || rotation_.cols() != d) {
     return Status::Internal("rotation matrix is not square in the codebook "
                             "dimension");
@@ -264,38 +210,18 @@ Status OptimizedProductQuantizer::ValidateInvariants() const {
       return Status::Internal("centering means contain non-finite values");
     }
   }
-  VAQ_RETURN_IF_ERROR(books_.ValidateCodes(codes_));
-  if (subspace_variances_.size() != m) {
-    return Status::Internal("subspace variance profile length disagrees "
-                            "with subspace count");
-  }
-  for (double v : subspace_variances_) {
-    if (!std::isfinite(v) || v < 0.0) {
-      return Status::Internal("subspace variances contain invalid values");
-    }
-  }
-  if (subspace_order_.size() != m || !IsPermutation(subspace_order_)) {
-    return Status::Internal("subspace ranking is not a permutation of "
-                            "[0, m)");
-  }
-  if (!std::isfinite(train_error_) || train_error_ < 0.0) {
-    return Status::Internal("training error is not a non-negative finite "
-                            "value");
-  }
   return Status::OK();
 }
 
 Status OptimizedProductQuantizer::Save(const std::string& path) const {
-  if (!books_.trained()) {
+  if (!pq_.books_.trained()) {
     return Status::FailedPrecondition("OPQ is not trained");
   }
   VAQ_RETURN_IF_ERROR(ValidateInvariants());
   ContainerWriter writer(kOpqMagic, kOpqFormatVersion);
   SaveOptionsSection(writer.AddSection(kSecOptions));
   SaveRotationSection(writer.AddSection(kSecRotation));
-  books_.Save(writer.AddSection(kSecBooks));
-  WriteMatrix(writer.AddSection(kSecCodes), codes_);
-  SaveStatsSection(writer.AddSection(kSecStats));
+  pq_.SaveModelSections(&writer);
   return writer.Commit(path);
 }
 
@@ -305,12 +231,7 @@ Status OptimizedProductQuantizer::LoadSections(const SectionSource& source) {
   VAQ_RETURN_IF_ERROR(source.Read(kSecRotation, [&](std::istream& is) {
     return LoadRotationSection(is);
   }));
-  VAQ_RETURN_IF_ERROR(source.Read(
-      kSecBooks, [&](std::istream& is) { return books_.Load(is); }));
-  VAQ_RETURN_IF_ERROR(source.Read(
-      kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes_); }));
-  VAQ_RETURN_IF_ERROR(source.Read(
-      kSecStats, [&](std::istream& is) { return LoadStatsSection(is); }));
+  VAQ_RETURN_IF_ERROR(pq_.LoadModelSections(source));
   return ValidateInvariants();
 }
 
@@ -326,40 +247,12 @@ Result<OptimizedProductQuantizer> OptimizedProductQuantizer::Load(
 Status OptimizedProductQuantizer::SearchSubset(
     const float* query, size_t k, size_t num_subspaces_used,
     std::vector<Neighbor>* out) const {
-  if (!books_.trained()) {
+  if (!pq_.books_.trained()) {
     return Status::FailedPrecondition("OPQ is not trained");
   }
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-
   std::vector<float> rotated(rotation_.rows());
-  RotateRow(query, rotated.data());
-  std::vector<float> lut;
-  books_.BuildLookupTable(rotated.data(), &lut);
-
-  const size_t m = books_.num_subspaces();
-  const size_t used = num_subspaces_used == 0
-                          ? m
-                          : std::min(num_subspaces_used, m);
-  TopKHeap heap(k);
-  if (used == m) {
-    for (size_t r = 0; r < codes_.rows(); ++r) {
-      heap.Push(books_.AdcDistance(codes_.row(r), lut.data()),
-                static_cast<int64_t>(r));
-    }
-  } else {
-    for (size_t r = 0; r < codes_.rows(); ++r) {
-      const uint16_t* code = codes_.row(r);
-      float acc = 0.f;
-      for (size_t i = 0; i < used; ++i) {
-        const size_t s = subspace_order_[i];
-        acc += lut[books_.lut_offset(s) + code[s]];
-      }
-      heap.Push(acc, static_cast<int64_t>(r));
-    }
-  }
-  *out = heap.TakeSorted();
-  for (Neighbor& nb : *out) nb.distance = std::sqrt(std::max(0.f, nb.distance));
-  return Status::OK();
+  Project(query, rotated.data());
+  return pq_.SearchSubset(rotated.data(), k, num_subspaces_used, out);
 }
 
 }  // namespace vaq

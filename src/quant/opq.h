@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/codebook.h"
+#include "quant/pq.h"
 #include "quant/quantizer.h"
 
 namespace vaq {
@@ -31,18 +31,18 @@ struct OpqOptions {
 /// dictionary sizes become appropriate. Optionally refined with the
 /// non-parametric alternating optimization (encode, then solve the
 /// orthogonal Procrustes problem for a better rotation).
+///
+/// Structurally OPQ is a rotation in front of a ProductQuantizer: the
+/// centered, rotated vectors are what the inner PQ trains on, encodes,
+/// ranks, searches and saves.
 class OptimizedProductQuantizer : public Quantizer {
  public:
-  explicit OptimizedProductQuantizer(const OpqOptions& options = OpqOptions())
-      : options_(options) {}
+  explicit OptimizedProductQuantizer(const OpqOptions& options = OpqOptions());
 
   std::string name() const override { return "OPQ"; }
   Status Train(const FloatMatrix& data) override;
-  size_t size() const override { return codes_.rows(); }
-  size_t code_bytes() const override {
-    return codes_.rows() * options_.num_subspaces *
-           ((options_.bits_per_subspace + 7) / 8);
-  }
+  size_t size() const override { return pq_.size(); }
+  size_t code_bytes() const override { return pq_.code_bytes(); }
   Status Search(const float* query, size_t k,
                 std::vector<Neighbor>* out) const override;
 
@@ -51,19 +51,11 @@ class OptimizedProductQuantizer : public Quantizer {
   Status SearchSubset(const float* query, size_t k, size_t num_subspaces_used,
                       std::vector<Neighbor>* out) const;
 
-  const VariableCodebooks& codebooks() const { return books_; }
   /// Learned (d x d) rotation applied to centered data before encoding.
   const FloatMatrix& rotation() const { return rotation_; }
   /// Applies the learned centering + rotation to a raw vector (used to
   /// compose OPQ's space with other indexes, e.g. IMI+OPQ).
-  void Project(const float* x, float* out) const { RotateRow(x, out); }
-  const std::vector<double>& subspace_variances() const {
-    return subspace_variances_;
-  }
-  const std::vector<size_t>& subspace_order() const {
-    return subspace_order_;
-  }
-  double train_error() const { return train_error_; }
+  void Project(const float* x, float* out) const;
 
   /// Persists/restores the learned rotation, dictionaries, and codes.
   /// Save writes the checksummed container format atomically; Load also
@@ -71,29 +63,23 @@ class OptimizedProductQuantizer : public Quantizer {
   Status Save(const std::string& path) const;
   static Result<OptimizedProductQuantizer> Load(const std::string& path);
 
-  /// Semantic consistency: rotation square and finite, codebook shapes,
-  /// every stored code in range, subspace ranking a true permutation.
+  /// Semantic consistency: the inner PQ's invariants (codebook shapes,
+  /// every stored code in range, subspace ranking a true permutation) and
+  /// a square, finite rotation with matching finite means.
   Status ValidateInvariants() const;
 
  private:
-  void RotateRow(const float* x, float* out) const;
   /// Reads every section of a container or legacy v0 file.
   Status LoadSections(const SectionSource& source);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
   void SaveRotationSection(std::ostream& os) const;
   Status LoadRotationSection(std::istream& is);
-  void SaveStatsSection(std::ostream& os) const;
-  Status LoadStatsSection(std::istream& is);
 
   OpqOptions options_;
   std::vector<float> means_;
   FloatMatrix rotation_;
-  VariableCodebooks books_;
-  CodeMatrix codes_;
-  std::vector<double> subspace_variances_;
-  std::vector<size_t> subspace_order_;
-  double train_error_ = 0.0;
+  ProductQuantizer pq_;  ///< over the centered, rotated vectors
 };
 
 }  // namespace vaq

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-
 #include "common/io.h"
 #include "common/macros.h"
 #include "common/serialize.h"
@@ -13,24 +12,35 @@
 namespace vaq {
 
 Status ProductQuantizer::Train(const FloatMatrix& data) {
+  VAQ_ASSIGN_OR_RETURN(SubspaceLayout layout, UniformLayout(data.cols()));
+  VAQ_RETURN_IF_ERROR(TrainCodebooks(data, layout, options_.seed));
+  return EncodeAndRank(data);
+}
+
+Result<SubspaceLayout> ProductQuantizer::UniformLayout(size_t dim) const {
   if (options_.bits_per_subspace < 1 || options_.bits_per_subspace > 16) {
     return Status::InvalidArgument("bits_per_subspace must be in [1, 16]");
   }
-  VAQ_ASSIGN_OR_RETURN(
-      SubspaceLayout layout,
-      SubspaceLayout::Uniform(data.cols(), options_.num_subspaces));
+  return SubspaceLayout::Uniform(dim, options_.num_subspaces);
+}
 
+Status ProductQuantizer::TrainCodebooks(const FloatMatrix& data,
+                                        const SubspaceLayout& layout,
+                                        uint64_t seed) {
   CodebookOptions copts;
   copts.kmeans_iters = options_.kmeans_iters;
-  copts.seed = options_.seed;
-  std::vector<int> bits(options_.num_subspaces,
-                        static_cast<int>(options_.bits_per_subspace));
-  VAQ_RETURN_IF_ERROR(books_.Train(data, layout, bits, copts));
+  copts.seed = seed;
+  const std::vector<int> bits(options_.num_subspaces,
+                              static_cast<int>(options_.bits_per_subspace));
+  return books_.Train(data, layout, bits, copts);
+}
+
+Status ProductQuantizer::EncodeAndRank(const FloatMatrix& data) {
   VAQ_ASSIGN_OR_RETURN(codes_, books_.Encode(data));
 
   // Per-subspace variance shares for the subspace-omission study.
   const std::vector<double> dim_vars = ColumnVariances(data);
-  subspace_variances_ = layout.SubspaceVariances(dim_vars);
+  subspace_variances_ = books_.layout().SubspaceVariances(dim_vars);
   const double total = std::accumulate(subspace_variances_.begin(),
                                        subspace_variances_.end(), 0.0);
   if (total > 0.0) {
@@ -109,20 +119,28 @@ Status ProductQuantizer::LoadOptionsSection(std::istream& is) {
   return Status::OK();
 }
 
-void ProductQuantizer::SaveStatsSection(std::ostream& os) const {
-  WriteVector(os, subspace_variances_);
-  WriteVector(os, std::vector<uint64_t>(subspace_order_.begin(),
-                                        subspace_order_.end()));
-  WritePod<double>(os, train_error_);
+void ProductQuantizer::SaveModelSections(ContainerWriter* writer) const {
+  books_.Save(writer->AddSection(kSecBooks));
+  WriteMatrix(writer->AddSection(kSecCodes), codes_);
+  std::ostream& stats = writer->AddSection(kSecStats);
+  WriteVector(stats, subspace_variances_);
+  WriteVector(stats, std::vector<uint64_t>(subspace_order_.begin(),
+                                           subspace_order_.end()));
+  WritePod<double>(stats, train_error_);
 }
 
-Status ProductQuantizer::LoadStatsSection(std::istream& is) {
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &subspace_variances_));
-  std::vector<uint64_t> order64;
-  VAQ_RETURN_IF_ERROR(ReadVector(is, &order64));
-  subspace_order_.assign(order64.begin(), order64.end());
-  VAQ_RETURN_IF_ERROR(ReadPod(is, &train_error_));
-  return Status::OK();
+Status ProductQuantizer::LoadModelSections(const SectionSource& source) {
+  VAQ_RETURN_IF_ERROR(source.Read(
+      kSecBooks, [&](std::istream& is) { return books_.Load(is); }));
+  VAQ_RETURN_IF_ERROR(source.Read(
+      kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes_); }));
+  return source.Read(kSecStats, [&](std::istream& is) {
+    VAQ_RETURN_IF_ERROR(ReadVector(is, &subspace_variances_));
+    std::vector<uint64_t> order64;
+    VAQ_RETURN_IF_ERROR(ReadVector(is, &order64));
+    subspace_order_.assign(order64.begin(), order64.end());
+    return ReadPod(is, &train_error_);
+  });
 }
 
 Status ProductQuantizer::ValidateInvariants() const {
@@ -166,21 +184,14 @@ Status ProductQuantizer::Save(const std::string& path) const {
   VAQ_RETURN_IF_ERROR(ValidateInvariants());
   ContainerWriter writer(kPqMagic, kPqFormatVersion);
   SaveOptionsSection(writer.AddSection(kSecOptions));
-  books_.Save(writer.AddSection(kSecBooks));
-  WriteMatrix(writer.AddSection(kSecCodes), codes_);
-  SaveStatsSection(writer.AddSection(kSecStats));
+  SaveModelSections(&writer);
   return writer.Commit(path);
 }
 
 Status ProductQuantizer::LoadSections(const SectionSource& source) {
   VAQ_RETURN_IF_ERROR(source.Read(
       kSecOptions, [&](std::istream& is) { return LoadOptionsSection(is); }));
-  VAQ_RETURN_IF_ERROR(source.Read(
-      kSecBooks, [&](std::istream& is) { return books_.Load(is); }));
-  VAQ_RETURN_IF_ERROR(source.Read(
-      kSecCodes, [&](std::istream& is) { return ReadMatrix(is, &codes_); }));
-  VAQ_RETURN_IF_ERROR(source.Read(
-      kSecStats, [&](std::istream& is) { return LoadStatsSection(is); }));
+  VAQ_RETURN_IF_ERROR(LoadModelSections(source));
   return ValidateInvariants();
 }
 

@@ -9,6 +9,7 @@
 
 namespace vaq {
 
+class ContainerWriter;
 class SectionSource;
 
 struct PqOptions {
@@ -83,12 +84,28 @@ class ProductQuantizer : public Quantizer {
   Status ValidateInvariants() const;
 
  private:
+  // OPQ is this quantizer behind a learned rotation: it trains the
+  // dictionaries itself, then reuses the helpers below.
+  friend class OptimizedProductQuantizer;
+
+  /// Checks bits_per_subspace and splits `dim` into uniform subspaces.
+  Result<SubspaceLayout> UniformLayout(size_t dim) const;
+  /// Trains the dictionaries on `data` over `layout`, seeding k-means
+  /// with `seed`.
+  Status TrainCodebooks(const FloatMatrix& data, const SubspaceLayout& layout,
+                        uint64_t seed);
+  /// The tail of Train over trained dictionaries: encodes `data` as the
+  /// database, ranks the subspaces by their share of its variance and
+  /// measures the training error.
+  Status EncodeAndRank(const FloatMatrix& data);
+  /// Writes / reads the BOOK, CODE and STAT sections, in that order.
+  void SaveModelSections(ContainerWriter* writer) const;
+  Status LoadModelSections(const SectionSource& source);
+
   /// Reads every section of a container or legacy v0 file.
   Status LoadSections(const SectionSource& source);
   void SaveOptionsSection(std::ostream& os) const;
   Status LoadOptionsSection(std::istream& is);
-  void SaveStatsSection(std::ostream& os) const;
-  Status LoadStatsSection(std::istream& is);
   PqOptions options_;
   VariableCodebooks books_;
   CodeMatrix codes_;

@@ -132,9 +132,13 @@ void ScanRows(const VaqIndex& index, const float* projected,
     if (stop != nullptr && stop->ShouldStop()) return;
     if (stats != nullptr) ++stats->partitions_visited;
     const size_t c = order[v];
+    // Cluster c is store positions [base, base + size); its cached
+    // distances are ti.distances() at those positions, indexed below
+    // relative to base.
     const size_t base = store.partition_begin(c);
-    const std::vector<float>& cached = ti.distances(c);
-    if (cached.empty()) continue;
+    const size_t size = store.partition_end(c) - base;
+    const float* cached = ti.distances().data() + base;
+    if (size == 0) continue;
     const float dq = std::sqrt(query_to_cluster[c]);
 
     // Members that can beat the best-so-far satisfy
@@ -142,15 +146,13 @@ void ScanRows(const VaqIndex& index, const float* projected,
     // The cached distances are sorted, so locate the window once and keep
     // tightening its upper end as the threshold improves.
     size_t begin = 0;
-    size_t end = cached.size();
+    size_t end = size;
     if (heap->full()) {
       const float r = std::sqrt(heap->Threshold());
-      begin = std::lower_bound(cached.begin(), cached.end(), dq - r) -
-              cached.begin();
-      end = std::upper_bound(cached.begin(), cached.end(), dq + r) -
-            cached.begin();
+      begin = std::lower_bound(cached, cached + size, dq - r) - cached;
+      end = std::upper_bound(cached, cached + size, dq + r) - cached;
       if (stats != nullptr) {
-        stats->codes_skipped_ti += cached.size() - (end - begin);
+        stats->codes_skipped_ti += size - (end - begin);
       }
     }
     // The blocked scan checks the deadline once per store block it scans

@@ -389,6 +389,50 @@ TEST_F(ScanSearchEquivalenceTest, HeapModeCountsExactWork) {
   EXPECT_EQ(stats.lut_adds, index_.size() * 2);
 }
 
+TEST_F(ScanSearchEquivalenceTest, HeapEqualsEaWithoutAnAbandonCheck) {
+  // Heap mode is the EA scan whose abandon check never runs before the
+  // last subspace, so EA at an interval >= m must return its answer and
+  // do exactly its work: every SearchStats field but the two clocks.
+  const size_t m = index_.num_subspaces();
+  for (size_t used : {size_t{0}, size_t{3}}) {
+    for (size_t interval : {m, 2 * m}) {
+      SearchParams heap_params;
+      heap_params.k = 15;
+      heap_params.mode = SearchMode::kHeap;
+      heap_params.num_subspaces_used = used;
+      SearchParams ea_params = heap_params;
+      ea_params.mode = SearchMode::kEarlyAbandon;
+      ea_params.ea_check_interval = interval;
+      for (size_t q = 0; q < queries_.rows(); ++q) {
+        SCOPED_TRACE(::testing::Message() << "used=" << used << " interval="
+                                          << interval << " q=" << q);
+        std::vector<Neighbor> heap_out, ea_out;
+        SearchStats heap_stats, ea_stats;
+        ASSERT_TRUE(index_.Search(queries_.row(q), heap_params, &heap_out,
+                                  &heap_stats).ok());
+        ASSERT_TRUE(
+            index_.Search(queries_.row(q), ea_params, &ea_out, &ea_stats)
+                .ok());
+        ASSERT_EQ(heap_out.size(), ea_out.size());
+        for (size_t i = 0; i < heap_out.size(); ++i) {
+          EXPECT_EQ(heap_out[i].id, ea_out[i].id) << "i=" << i;
+          EXPECT_EQ(heap_out[i].distance, ea_out[i].distance) << "i=" << i;
+        }
+        EXPECT_EQ(heap_stats.codes_visited, ea_stats.codes_visited);
+        EXPECT_EQ(heap_stats.codes_skipped_ti, ea_stats.codes_skipped_ti);
+        EXPECT_EQ(heap_stats.lut_adds, ea_stats.lut_adds);
+        EXPECT_EQ(heap_stats.partitions_total, ea_stats.partitions_total);
+        EXPECT_EQ(heap_stats.clusters_visited, ea_stats.clusters_visited);
+        EXPECT_EQ(heap_stats.truncated, ea_stats.truncated);
+        EXPECT_EQ(heap_stats.rows_scanned, ea_stats.rows_scanned);
+        EXPECT_EQ(heap_stats.partitions_visited,
+                  ea_stats.partitions_visited);
+        EXPECT_EQ(heap_stats.rows_scanned, index_.size());
+      }
+    }
+  }
+}
+
 TEST_F(ScanSearchEquivalenceTest, SaveLoadRebuildsBlockedLayout) {
   const std::string path = "/tmp/vaq_scan_test.bin";
   ASSERT_TRUE(index_.Save(path).ok());
@@ -423,13 +467,11 @@ TEST_F(ScanSearchEquivalenceTest, IndexHoldsOneBlockedCopyOfItsCodes) {
   const size_t m = index_.num_subspaces();
   const size_t blocks = (index_.size() + kScanBlockSize - 1) / kScanBlockSize;
   EXPECT_EQ(index_.code_bytes(), 2 * m * kScanBlockSize * blocks);
-  // The store's partitions are the TI clusters, member for member.
+  // The store's partitions are the TI clusters, member for member, and
+  // the TI cached distances are indexed by store position.
   const PartitionedCodes& store = index_.store();
   ASSERT_EQ(store.num_partitions(), index_.ti_partition().num_clusters());
-  for (size_t c = 0; c < store.num_partitions(); ++c) {
-    EXPECT_EQ(store.partition_end(c) - store.partition_begin(c),
-              index_.ti_partition().distances(c).size());
-  }
+  EXPECT_EQ(index_.ti_partition().distances().size(), store.rows());
 }
 
 TEST(DuplicateHeavyEquivalenceTest, HeapAndEaMatchOracleOnTies) {

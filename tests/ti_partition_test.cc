@@ -70,6 +70,20 @@ void ExpectRankedAscending(const std::vector<float>& dist,
   }
 }
 
+/// Cluster `c`'s cached distances: those of `ti` at the positions of
+/// partition c of a store built over `members`, whose clusters it lays
+/// out in order.
+std::vector<float> ClusterDistances(
+    const TiPartition& ti, const std::vector<std::vector<uint32_t>>& members,
+    size_t c) {
+  size_t begin = 0;
+  for (size_t p = 0; p < c; ++p) begin += members[p].size();
+  const std::vector<float>& all = ti.distances();
+  if (begin + members[c].size() > all.size()) return {};  // fails callers
+  return {all.begin() + static_cast<ptrdiff_t>(begin),
+          all.begin() + static_cast<ptrdiff_t>(begin + members[c].size())};
+}
+
 /// `members` and the cached distances of `ti` equal, bit for bit, what the
 /// row-at-a-time oracle assigns over `codes` with the same centroids.
 void ExpectMatchesOracle(const TiPartition& ti, const CodeMatrix& codes,
@@ -82,7 +96,8 @@ void ExpectMatchesOracle(const TiPartition& ti, const CodeMatrix& codes,
   ASSERT_EQ(members.size(), want_members.size());
   for (size_t c = 0; c < want_members.size(); ++c) {
     EXPECT_EQ(members[c], want_members[c]) << "cluster " << c;
-    EXPECT_EQ(ti.distances(c), want_distances[c]) << "cluster " << c;
+    EXPECT_EQ(ClusterDistances(ti, members, c), want_distances[c])
+        << "cluster " << c;
   }
 }
 
@@ -173,7 +188,7 @@ TEST_F(TiPartitionTest, EveryIdAppearsExactlyOnce) {
 
 TEST_F(TiPartitionTest, ClusterDistancesSortedAscending) {
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    const auto& dists = ti_.distances(c);
+    const std::vector<float> dists = ClusterDistances(ti_, members_, c);
     for (size_t i = 1; i < dists.size(); ++i) {
       EXPECT_LE(dists[i - 1], dists[i]);
     }
@@ -188,11 +203,12 @@ TEST_F(TiPartitionTest, MembersAssignedToNearestCentroid) {
   const size_t pd = ti_.prefix_dims();
   for (size_t c = 0; c < std::min<size_t>(4, ti_.num_clusters()); ++c) {
     const std::vector<uint32_t>& ids = members_[c];
+    const std::vector<float> cached = ClusterDistances(ti_, members_, c);
     for (size_t i = 0; i < std::min<size_t>(5, ids.size()); ++i) {
       books_.DecodeRow(codes_.row(ids[i]), decoded.data());
       const float own = std::sqrt(
           SquaredL2(decoded.data(), ti_.centroids().row(c), pd));
-      EXPECT_NEAR(ti_.distances(c)[i], own, 1e-3f);
+      EXPECT_NEAR(cached[i], own, 1e-3f);
       for (size_t other = 0; other < ti_.num_clusters(); ++other) {
         const float dist = std::sqrt(
             SquaredL2(decoded.data(), ti_.centroids().row(other), pd));
@@ -233,12 +249,12 @@ TEST_F(TiPartitionTest, TriangleInequalityBoundHolds) {
   std::vector<float> decoded(books_.dim());
   for (size_t c = 0; c < ti_.num_clusters(); ++c) {
     const std::vector<uint32_t>& ids = members_[c];
+    const std::vector<float> cached = ClusterDistances(ti_, members_, c);
     for (size_t i = 0; i < ids.size(); ++i) {
       books_.DecodeRow(codes_.row(ids[i]), decoded.data());
       const float prefix_dist = std::sqrt(SquaredL2(
           query.data(), decoded.data(), ti_.prefix_dims()));
-      const float bound =
-          std::fabs(std::sqrt(qdists[c]) - ti_.distances(c)[i]);
+      const float bound = std::fabs(std::sqrt(qdists[c]) - cached[i]);
       EXPECT_LE(bound, prefix_dist + 1e-2f);
       const float full_dist =
           std::sqrt(SquaredL2(query.data(), decoded.data(), books_.dim()));
@@ -260,9 +276,7 @@ TEST_F(TiPartitionTest, SaveLoadRoundtrip) {
   EXPECT_EQ(loaded.prefix_subspaces(), ti_.prefix_subspaces());
   EXPECT_TRUE(loaded.centroids() == ti_.centroids());
   EXPECT_EQ(loaded_members, members_);
-  for (size_t c = 0; c < ti_.num_clusters(); ++c) {
-    EXPECT_EQ(loaded.distances(c), ti_.distances(c));
-  }
+  EXPECT_EQ(loaded.distances(), ti_.distances());
   EXPECT_TRUE(loaded.ValidateInvariants(*store, 4, ti_.prefix_dims()).ok());
 }
 

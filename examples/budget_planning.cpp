@@ -13,7 +13,9 @@
 
 namespace {
 
-void PrintAllocation(const char* label,
+/// Prints the allocation of `budget` bits over `subspace_vars`; returns
+/// false when the allocator rejects the configuration.
+bool PrintAllocation(const char* label,
                      const std::vector<double>& subspace_vars,
                      size_t budget) {
   vaq::AllocationOptions opts;
@@ -24,11 +26,12 @@ void PrintAllocation(const char* label,
   if (!alloc.ok()) {
     std::printf("%-24s budget=%3zu  -> %s\n", label, budget,
                 alloc.status().ToString().c_str());
-    return;
+    return false;
   }
   std::printf("%-24s budget=%3zu  bits:", label, budget);
-  for (int b : alloc->bits) std::printf(" %2d", b);
+  for (int b : *alloc) std::printf(" %2d", b);
   std::printf("\n");
+  return true;
 }
 
 }  // namespace
@@ -47,11 +50,12 @@ int main() {
     return vars;
   };
 
+  bool ok = true;
   std::printf("== Hand-crafted variance profiles ==\n");
   for (size_t budget : {32, 64, 128, 192}) {
-    PrintAllocation("uniform profile", profile(1.0), budget);
-    PrintAllocation("mild skew (0.9)", profile(0.9), budget);
-    PrintAllocation("strong skew (0.6)", profile(0.6), budget);
+    ok &= PrintAllocation("uniform profile", profile(1.0), budget);
+    ok &= PrintAllocation("mild skew (0.9)", profile(0.9), budget);
+    ok &= PrintAllocation("strong skew (0.6)", profile(0.6), budget);
     std::printf("\n");
   }
 
@@ -69,66 +73,13 @@ int main() {
     for (size_t j = 0; j < per; ++j) measured[s] += ratio[s * per + j];
   }
   for (size_t budget : {64, 128, 208}) {
-    PrintAllocation("seismic eigen-profile", measured, budget);
-  }
-
-  // Custom constraints: the paper's argument for the MILP formulation is
-  // that new requirements become constraint rows instead of new solvers.
-  // Example SLA: "the two leading subspaces may use at most 12 bits
-  // combined" (caps the per-query lookup-table build cost).
-  std::printf("\n== Custom constraint: leading two subspaces <= 12 bits ==\n");
-  {
-    AllocationOptions opts;
-    opts.total_bits = 96;
-    opts.min_bits = 1;
-    opts.max_bits = 13;
-    const auto vars = profile(0.7);
-    auto unconstrained = AllocateBits(vars, opts);
-    LinearConstraint sla;
-    sla.coeffs.assign(16, 0.0);
-    sla.coeffs[0] = sla.coeffs[1] = 1.0;
-    sla.relation = Relation::kLessEqual;
-    sla.rhs = 12.0;
-    opts.extra_constraints.push_back(sla);
-    auto constrained = AllocateBits(vars, opts);
-    if (unconstrained.ok() && constrained.ok()) {
-      std::printf("unconstrained   bits:");
-      for (int b : unconstrained->bits) std::printf(" %2d", b);
-      std::printf("\nwith SLA row    bits:");
-      for (int b : constrained->bits) std::printf(" %2d", b);
-      std::printf("\n");
-    }
-  }
-
-  // External weights: a supervised model says the *last* subspaces carry
-  // the class signal.
-  std::printf("\n== Weight override (supervision favors the tail) ==\n");
-  {
-    AllocationOptions opts;
-    opts.total_bits = 64;
-    opts.min_bits = 1;
-    opts.max_bits = 13;
-    opts.weight_override.assign(16, 0.02);
-    // Slightly decreasing filler weights give the solver a unique optimum
-    // (equal weights would make the leftover split arbitrary).
-    for (size_t i = 0; i < 16; ++i) {
-      opts.weight_override[i] -= 1e-4 * static_cast<double>(i);
-    }
-    opts.weight_override[14] = 0.35;
-    opts.weight_override[15] = 0.35;
-    auto alloc = AllocateBits(profile(0.8), opts);
-    if (alloc.ok()) {
-      std::printf("supervised      bits:");
-      for (int b : alloc->bits) std::printf(" %2d", b);
-      std::printf("\n");
-    }
+    ok &= PrintAllocation("seismic eigen-profile", measured, budget);
   }
 
   std::printf(
       "\nReading the rows: with skewed profiles VAQ gives leading\n"
       "subspaces up to 13 bits (8192-entry dictionaries) and trailing\n"
       "ones as little as 1 bit, while a PQ/OPQ layout would force the\n"
-      "same size everywhere. Constraint rows and weight overrides adapt\n"
-      "the split to workload knowledge without touching the solver.\n");
-  return 0;
+      "same size everywhere.\n");
+  return ok ? 0 : 1;
 }

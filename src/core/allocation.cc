@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/macros.h"
-#include "solver/milp.h"
 
 namespace vaq {
 namespace {
@@ -53,19 +52,9 @@ std::vector<double> Normalize(const std::vector<double>& vars) {
   return w;
 }
 
-/// Number of leading subspaces needed to cover `target` of the variance.
-size_t CoveragePrefix(const std::vector<double>& w, double target) {
-  double acc = 0.0;
-  for (size_t i = 0; i < w.size(); ++i) {
-    acc += w[i];
-    if (acc >= target - 1e-12) return i + 1;
-  }
-  return w.size();
-}
-
 }  // namespace
 
-Result<Allocation> AllocateBitsProportional(
+Result<std::vector<int>> AllocateBits(
     const std::vector<double>& subspace_variances,
     const AllocationOptions& options) {
   VAQ_RETURN_IF_ERROR(ValidateInputs(subspace_variances, options));
@@ -146,106 +135,7 @@ Result<Allocation> AllocateBitsProportional(
   // Monotone repair: sorting descending preserves the multiset (and thus
   // the budget and bounds) and matches the importance ordering.
   std::sort(bits.rbegin(), bits.rend());
-
-  Allocation out;
-  out.bits = std::move(bits);
-  out.milp_solved = false;
-  out.objective = 0.0;
-  for (size_t i = 0; i < m; ++i) out.objective += w[i] * out.bits[i];
-  return out;
-}
-
-Result<Allocation> AllocateBits(const std::vector<double>& subspace_variances,
-                                const AllocationOptions& options) {
-  VAQ_RETURN_IF_ERROR(ValidateInputs(subspace_variances, options));
-  const size_t m = subspace_variances.size();
-  const std::vector<double> w = Normalize(subspace_variances);
-
-  const bool has_override = !options.weight_override.empty();
-  if (has_override && options.weight_override.size() != m) {
-    return Status::InvalidArgument(
-        "weight_override must match the subspace count");
-  }
-
-  MixedIntegerProgram mip;
-  mip.lp.objective = has_override ? options.weight_override : w;
-  mip.lp.lower.assign(m, static_cast<double>(options.min_bits));
-  mip.lp.upper.assign(m, static_cast<double>(options.max_bits));
-  // The proportional caps pin the allocation to the reference point, so
-  // they are only applied when the caller has not customized the problem
-  // (custom rows or weights need the full feasible region to matter).
-  const bool pin_proportional = options.proportional && !has_override &&
-                                options.extra_constraints.empty();
-  if (pin_proportional) {
-    // C4: cap every allocation at its proportional share (water-filled
-    // largest-remainder rounding of the fractional ideal). Together with
-    // the exact-budget row this pins the allocation to the proportional
-    // point; callers with different semantics (query-aware weights,
-    // storage SLAs) swap these rows for their own.
-    VAQ_ASSIGN_OR_RETURN(
-        Allocation reference,
-        AllocateBitsProportional(subspace_variances, options));
-    for (size_t i = 0; i < m; ++i) {
-      mip.lp.upper[i] = static_cast<double>(reference.bits[i]);
-    }
-  }
-  mip.integral.assign(m, true);
-
-  // C1: the minimal prefix covering target_variance gets at least one bit.
-  const size_t prefix = CoveragePrefix(w, options.target_variance);
-  for (size_t i = 0; i < prefix; ++i) {
-    mip.lp.lower[i] = std::max(mip.lp.lower[i], 1.0);
-  }
-
-  // C3: exact budget.
-  LinearConstraint budget_row;
-  budget_row.coeffs.assign(m, 1.0);
-  budget_row.relation = Relation::kEqual;
-  budget_row.rhs = static_cast<double>(options.total_bits);
-  mip.lp.constraints.push_back(std::move(budget_row));
-
-  // C4 (monotone part): y_i - y_{i+1} >= 0 follows the importance order.
-  if (options.proportional && !has_override) {
-    for (size_t i = 0; i + 1 < m; ++i) {
-      LinearConstraint row;
-      row.coeffs.assign(m, 0.0);
-      row.coeffs[i] = 1.0;
-      row.coeffs[i + 1] = -1.0;
-      row.relation = Relation::kGreaterEqual;
-      row.rhs = 0.0;
-      mip.lp.constraints.push_back(std::move(row));
-    }
-  }
-
-  // Caller-supplied rows (query-aware weights, SLAs, ...).
-  for (const LinearConstraint& row : options.extra_constraints) {
-    if (row.coeffs.size() != m) {
-      return Status::InvalidArgument("extra constraint width mismatch");
-    }
-    mip.lp.constraints.push_back(row);
-  }
-
-  auto milp = SolveMilp(mip);
-  if (!milp.ok()) {
-    if (!options.extra_constraints.empty() || has_override) {
-      // Custom problems can genuinely be infeasible; report that rather
-      // than silently dropping the caller's constraints.
-      return milp.status();
-    }
-    // The proportional caps are constructed feasible, so this path only
-    // triggers on numerically degenerate inputs; the deterministic
-    // reference allocation honors the same C1-C4 intent.
-    return AllocateBitsProportional(subspace_variances, options);
-  }
-
-  Allocation out;
-  out.bits.resize(m);
-  for (size_t i = 0; i < m; ++i) {
-    out.bits[i] = static_cast<int>(std::llround(milp->x[i]));
-  }
-  out.objective = milp->objective_value;
-  out.milp_solved = true;
-  return out;
+  return bits;
 }
 
 }  // namespace vaq

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "solver/lp.h"
 
 namespace vaq {
 
@@ -15,56 +14,26 @@ struct AllocationOptions {
   /// C2 bounds per subspace.
   size_t min_bits = 1;
   size_t max_bits = 13;
-  /// C1: subspaces in the minimal prefix explaining this fraction of the
-  /// total variance must receive at least one bit. With min_bits >= 1 the
-  /// constraint is implied; it becomes active when min_bits == 0.
-  double target_variance = 1.0;
-  /// C4: enforce that allocations are non-increasing in the subspace
-  /// importance ordering and capped proportionally to each subspace's
-  /// variance share.
-  bool proportional = true;
-  /// Optional external importance weights replacing the variance shares in
-  /// the objective (Section III-C's extensibility argument: supervision or
-  /// workload knowledge can reweight subspaces without a new solver).
-  /// When set, C4's proportional caps and monotone rows are skipped (the
-  /// weights need not follow the variance ordering); length must equal the
-  /// subspace count.
-  std::vector<double> weight_override;
-  /// Extra linear constraint rows over the bit variables, appended to the
-  /// built-in C1-C3 rows — e.g. "subspaces 4 and 5 share a size" or
-  /// "the first two subspaces get at most 16 bits combined" for storage
-  /// or latency service agreements.
-  std::vector<LinearConstraint> extra_constraints;
-};
-
-struct Allocation {
-  /// Bits per subspace, aligned with the importance-ordered subspaces.
-  std::vector<int> bits;
-  /// Objective value W^T y of the chosen allocation.
-  double objective = 0.0;
-  /// True when the MILP solved; false when the deterministic water-filling
-  /// fallback produced the allocation (never happens for valid inputs, but
-  /// the fallback keeps the system total).
-  bool milp_solved = false;
 };
 
 /// Adaptive subspace budget allocation (Section III-C, Algorithm 2).
 ///
-/// Solves  maximize W^T y  s.t.  sum(y) == B,  min <= y_i <= max  (C2/C3),
-/// prefix coverage (C1), monotone + proportional caps (C4), with y integer,
-/// where W are the normalized subspace variances sorted non-increasing.
+/// The paper picks the bits y by maximizing W^T y (W: the normalized
+/// subspace variances, sorted non-increasing) under C1-C4. Here C4 caps
+/// every subspace at its share of the reverse water-filling allocation of
+/// transform coding, y_i = theta + (1/2) log2(V_i), clamped to
+/// [min_bits, max_bits] (C2), with the water level theta chosen so the
+/// bits sum to exactly B (C3), then rounded by largest remainder and
+/// sorted non-increasing. Those caps sum to B, so they are the program's
+/// only feasible point, and this function computes that point directly.
+/// C1 (a bit for every subspace of the leading variance prefix) is
+/// implied by min_bits >= 1, which VaqEncoder requires.
 ///
-/// Returns kInvalidArgument when the budget cannot satisfy the bounds
-/// (B < m*min or B > m*max).
-Result<Allocation> AllocateBits(const std::vector<double>& subspace_variances,
-                                const AllocationOptions& options);
-
-/// Deterministic reference allocator: reverse water-filling of the
-/// transform-coding rate allocation y_i = theta + (1/2) log2(V_i), clamped
-/// to the bounds and rounded to integers (largest remainder) with
-/// monotonicity enforced. Anchors the MILP's C4 caps and doubles as a
-/// fallback and test oracle.
-Result<Allocation> AllocateBitsProportional(
+/// Returns the bits per subspace, aligned with the importance-ordered
+/// subspaces, or kInvalidArgument when the budget cannot satisfy the
+/// bounds (B < m*min or B > m*max) or the variances are negative or not
+/// non-increasing.
+Result<std::vector<int>> AllocateBits(
     const std::vector<double>& subspace_variances,
     const AllocationOptions& options);
 

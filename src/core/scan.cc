@@ -233,8 +233,8 @@ namespace {
 /// Feeds one finished query into the global metrics registry; see
 /// FinalizeSearchResult. Deliberately outside the scan loops so the hot
 /// path is untouched.
-void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
-                          const Status& status, const QueryTrace* trace) {
+void RecordQueryTelemetry(const SearchStats& stats, const Status& status,
+                          const QueryTrace* trace) {
   // All metric pointers are resolved once per process; afterwards this
   // function is registry-mutex-free and allocation-free (relaxed atomic
   // adds only), which the zero-alloc scan tests rely on.
@@ -271,25 +271,22 @@ void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
 
   queries->Increment();
   if (!status.ok()) failed->Increment();
-  if (status.ok() && after.truncated) truncated->Increment();
+  if (status.ok() && stats.truncated) truncated->Increment();
   if (status.code() == StatusCode::kDeadlineExceeded) {
     deadline_exceeded->Increment();
   }
   if (status.code() == StatusCode::kCancelled) cancelled->Increment();
 
-  // Work counters accumulate across queries on a reused SearchStats, so
-  // feed the delta. wall/cpu are assigned per query and used as-is.
-  rows_scanned->Increment(after.rows_scanned - before.rows_scanned);
-  lut_adds->Increment(after.lut_adds - before.lut_adds);
-  codes_skipped->Increment(after.codes_skipped_ti - before.codes_skipped_ti);
-  codes_visited->Increment(after.codes_visited - before.codes_visited);
-  partitions_visited->Increment(after.partitions_visited -
-                                before.partitions_visited);
-  wall_us->Observe(after.wall_micros);
-  cpu_us->Observe(after.cpu_micros);
+  rows_scanned->Increment(stats.rows_scanned);
+  lut_adds->Increment(stats.lut_adds);
+  codes_skipped->Increment(stats.codes_skipped_ti);
+  codes_visited->Increment(stats.codes_visited);
+  partitions_visited->Increment(stats.partitions_visited);
+  wall_us->Observe(stats.wall_micros);
+  cpu_us->Observe(stats.cpu_micros);
 
   const double slow_threshold = SlowQueryLogThresholdMicros();
-  if (slow_threshold > 0.0 && after.wall_micros > slow_threshold &&
+  if (slow_threshold > 0.0 && stats.wall_micros > slow_threshold &&
       ShouldLogSlowQuery()) {
     static Counter* slow_logged = reg.GetCounter(
         "vaq_slow_queries_logged_total",
@@ -299,17 +296,16 @@ void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
       VAQ_LOG(LogLevel::kWarning,
               "slow query: wall=%.1fus cpu=%.1fus rows=%zu truncated=%d "
               "status=%d trace: %s",
-              after.wall_micros, after.cpu_micros,
-              after.rows_scanned - before.rows_scanned,
-              after.truncated ? 1 : 0, static_cast<int>(status.code()),
+              stats.wall_micros, stats.cpu_micros, stats.rows_scanned,
+              stats.truncated ? 1 : 0, static_cast<int>(status.code()),
               trace->Format().c_str());
     } else {
       VAQ_LOG(LogLevel::kWarning,
               "slow query: wall=%.1fus cpu=%.1fus rows=%zu truncated=%d "
               "status=%d (tracing off)",
-              after.wall_micros, after.cpu_micros,
-              after.rows_scanned - before.rows_scanned,
-              after.truncated ? 1 : 0, static_cast<int>(status.code()));
+              stats.wall_micros, stats.cpu_micros,
+              stats.rows_scanned,
+              stats.truncated ? 1 : 0, static_cast<int>(status.code()));
     }
   }
 }
@@ -318,19 +314,15 @@ void RecordQueryTelemetry(const SearchStats& before, const SearchStats& after,
 
 Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
                             TopKHeap* heap, std::vector<Neighbor>* out,
-                            SearchStats* stats, const SearchStats& before,
-                            const QueryTrace* trace, double wall_micros,
-                            double cpu_micros) {
+                            SearchStats* stats, const QueryTrace* trace,
+                            double wall_micros, double cpu_micros) {
   const bool stopped = stop != nullptr && stop->stopped();
-  // Without caller stats, the telemetry still needs the outcome fields.
-  SearchStats local;
-  SearchStats& after = stats != nullptr ? *stats : local;
-  after.truncated = stopped;
-  after.wall_micros = wall_micros;
-  after.cpu_micros = cpu_micros;
+  stats->truncated = stopped;
+  stats->wall_micros = wall_micros;
+  stats->cpu_micros = cpu_micros;
   // A scan can never enter more partitions than it planned to visit (see
   // SearchStats): drivers stamp the plan before the first block.
-  VAQ_CHECK(after.partitions_visited <= after.clusters_visited);
+  VAQ_CHECK(stats->partitions_visited <= stats->clusters_visited);
   Status status;
   if (stopped && stop->cause() == StopCause::kCancelled) {
     out->clear();
@@ -345,7 +337,7 @@ Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
       nb.distance = std::sqrt(std::max(0.f, nb.distance));
     }
   }
-  RecordQueryTelemetry(before, after, status, trace);
+  RecordQueryTelemetry(*stats, status, trace);
   return status;
 }
 

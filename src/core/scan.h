@@ -17,9 +17,12 @@ namespace vaq {
 /// and 64 float accumulators (256 B) stay resident in L1/registers.
 inline constexpr size_t kScanBlockSize = 64;
 
-/// Counters describing how much work a search did; used to quantify
-/// pruning power in tests and benchmarks. Owned by the scan layer so the
-/// kernels, the index drivers, and the benchmarks agree on one vocabulary.
+/// Counters describing how much work one search did; used to quantify
+/// pruning power in tests and benchmarks and fed to the metrics registry.
+/// SearchQuery resets the struct at the start of every query (a caller
+/// that passes none gets a local one), so it always describes one query.
+/// Owned by the scan layer so the kernels, the index drivers, and the
+/// benchmarks agree on one vocabulary.
 struct SearchStats {
   size_t codes_visited = 0;      ///< codes whose distance accumulation began
   /// Store positions pruned by the triangle inequality; a position counts
@@ -237,17 +240,14 @@ void BlockedEaScan(const BlockedCodes& bc, size_t row_begin, size_t row_end,
 /// degrades gracefully: OK status, partial results, stats->truncated.
 ///
 /// Finally feeds the query into the global metrics registry (DESIGN.md
-/// §10): outcome counters, latency histograms (wall + CPU), and scan-work
-/// counters computed as `*stats - before`, so callers that reuse a
-/// SearchStats across queries never double-count. `before` is the
-/// caller's `*stats` at query start (default-constructed without stats).
-/// Also emits the sampled slow-query log line (common/trace.h), with
-/// `trace` when it is enabled.
+/// §10): outcome counters, latency histograms (wall + CPU), and the
+/// scan-work counters of `*stats`, which must describe this query alone
+/// (SearchQuery resets it first). Also emits the sampled slow-query log
+/// line (common/trace.h), with `trace` when it is enabled.
 Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
                             TopKHeap* heap, std::vector<Neighbor>* out,
-                            SearchStats* stats, const SearchStats& before,
-                            const QueryTrace* trace, double wall_micros,
-                            double cpu_micros);
+                            SearchStats* stats, const QueryTrace* trace,
+                            double wall_micros, double cpu_micros);
 
 }  // namespace vaq
 

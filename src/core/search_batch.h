@@ -32,9 +32,9 @@ struct SearchPlan {
 /// The one query driver behind VaqIndex::Search and VaqIvfIndex::Search
 /// (the paper's Algorithm 4; check points in DESIGN.md §9). In order:
 ///  1. rejects an untrained index and k outside [1, size];
-///  2. stamps the plan into `stats` (partitions_total, clusters_visited,
-///     partitions_visited = 0), then snapshots `stats` for the telemetry
-///     deltas;
+///  2. resets `stats` (a local SearchStats when the caller passes
+///     nullptr), so that it describes this query alone, and stamps the
+///     plan into it (partitions_total, clusters_visited);
 ///  3. projects the query (kProject)          — deadline check;
 ///  4. builds the ADC lookup table (kLutBuild) — deadline check;
 ///  5. with plan.centroids, ranks the partitions into
@@ -44,8 +44,8 @@ struct SearchPlan {
 ///     once with p = kWholeStore for a flat plan, otherwise once per
 ///     partition p = scratch->order[v], v in [0, plan.visit), checking
 ///     `stop` (nullptr when unarmed) and counting partitions_visited
-///     before each. The index's scan reads scratch->lut and fills
-///     scratch->heap;
+///     before each. The index's scan reads scratch->lut, fills
+///     scratch->heap and counts its work into the (never nullptr) stats;
 ///  7. FinalizeSearchResult.
 template <typename ScanFn>
 Status SearchQuery(const VaqEncoder& encoder, size_t size,
@@ -67,16 +67,14 @@ Status SearchQuery(const VaqEncoder& encoder, size_t size,
   StopController* stop = stop_state.armed() ? &stop_state : nullptr;
   auto stopped = [stop] { return stop != nullptr && stop->ShouldStop(); };
 
-  if (stats != nullptr) {
-    stats->partitions_total =
-        plan.centroids != nullptr ? plan.centroids->rows() : 0;
-    stats->clusters_visited = plan.visit;
-    stats->partitions_visited = 0;  // plan stamped; nothing entered yet
-  }
-  // Callers may reuse `stats` across queries, so telemetry is fed as
-  // after-minus-before; the snapshot follows the plan stamp, which
-  // assigns rather than accumulates.
-  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
+  // The query counts its work whether or not the caller asked for it:
+  // FinalizeSearchResult feeds these counters to the metrics registry.
+  SearchStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  stats->Reset();
+  stats->partitions_total =
+      plan.centroids != nullptr ? plan.centroids->rows() : 0;
+  stats->clusters_visited = plan.visit;
   QueryTrace* trace = control.trace;
   if (trace != nullptr) trace->Reset();
   scratch->heap.Reset(k);
@@ -110,14 +108,13 @@ Status SearchQuery(const VaqEncoder& encoder, size_t size,
         // Between-partition check: on expiry the heap already holds the
         // best-so-far over every partition (and partial block) completed.
         if (stopped()) break;
-        if (stats != nullptr) ++stats->partitions_visited;
+        ++stats->partitions_visited;
         scan(scratch, stats, stop, scratch->order[v]);
       }
     }
   }
   return FinalizeSearchResult(stop, control.strict_deadline, &scratch->heap,
-                              out, stats, before, trace,
-                              timer.ElapsedMicros(),
+                              out, stats, trace, timer.ElapsedMicros(),
                               cpu_timer.ElapsedMicros());
 }
 

@@ -73,7 +73,7 @@ Result<VaqEncoder> VaqEncoder::Train(const FloatMatrix& data,
   std::vector<int> bits;
   StageTimer alloc_timer(
       reg.GetCounter("vaq_build_allocation_us_total",
-                     "Cumulative bit-allocation (MILP) time (us)"),
+                     "Cumulative bit-allocation time (us)"),
       &alloc_us);
   if (options.adaptive_allocation) {
     AllocationOptions aopts;
@@ -93,10 +93,7 @@ Result<VaqEncoder> VaqEncoder::Train(const FloatMatrix& data,
       // feasible rather than reject the configuration.
       aopts.max_bits = options.max_bits;
     }
-    aopts.target_variance = options.target_variance;
-    VAQ_ASSIGN_OR_RETURN(Allocation alloc,
-                         AllocateBits(enc.subspace_variances_, aopts));
-    bits = std::move(alloc.bits);
+    VAQ_ASSIGN_OR_RETURN(bits, AllocateBits(enc.subspace_variances_, aopts));
   } else {
     // Uniform regime (PQ/OPQ style): total_bits/m each, remainder spread
     // over the leading subspaces.

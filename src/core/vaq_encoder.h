@@ -23,15 +23,13 @@ struct VaqOptions {
   /// C2 bounds on the per-subspace allocation (paper: 1 and 13).
   size_t min_bits = 1;
   size_t max_bits = 13;
-  /// C1 target fraction of explained variance.
-  double target_variance = 1.0;
   /// Non-uniform subspace widths via 1-D k-means over the variance profile
   /// (Section III-B "Clustering of Dimensions"); uniform widths otherwise.
   bool clustered_subspaces = false;
   /// Partial importance balancing (Algorithm 2 lines 2-9).
   bool partial_balance = true;
-  /// Adaptive MILP bit allocation; false assigns total_bits/m uniformly
-  /// (the PQ/OPQ regime) for ablation studies.
+  /// Adaptive bit allocation (AllocateBits); false assigns total_bits/m
+  /// uniformly (the PQ/OPQ regime) for ablation studies.
   bool adaptive_allocation = true;
   /// Mean-center before PCA.
   bool center_pca = true;
@@ -51,7 +49,7 @@ struct VaqOptions {
 
 /// Algorithm 5's encoding pipeline, shared by VaqIndex and VaqIvfIndex
 /// (DESIGN.md §12): VarPCA, subspace grouping with partial balancing,
-/// MILP bit allocation and variable-size dictionaries. Layout and bits
+/// adaptive bit allocation and variable-size dictionaries. Layout and bits
 /// are read from the codebooks, so there is one copy of each.
 class VaqEncoder {
  public:

@@ -212,7 +212,7 @@ void VaqIndex::Scan(const SearchParams& params, SearchMode mode,
           std::upper_bound(cached + begin, cached + end, dq - r) - cached;
       const size_t hi =
           std::lower_bound(cached + lo, cached + end, dq + r) - cached;
-      if (stats != nullptr) stats->codes_skipped_ti += lo - begin + end - hi;
+      stats->codes_skipped_ti += lo - begin + end - hi;
       begin = lo;
       end = hi;
       if (begin == end) break;
@@ -264,7 +264,9 @@ void VaqIndex::SaveOptionsSection(std::ostream& os) const {
   WritePod<uint64_t>(os, options_.total_bits);
   WritePod<uint64_t>(os, options_.min_bits);
   WritePod<uint64_t>(os, options_.max_bits);
-  WritePod<double>(os, options_.target_variance);
+  // Former C1 target-variance slot: always 1.0, kept so the layout of
+  // the OPTS section does not change.
+  WritePod<double>(os, 1.0);
   WritePod<uint8_t>(os, options_.clustered_subspaces);
   WritePod<uint8_t>(os, options_.partial_balance);
   WritePod<uint8_t>(os, options_.adaptive_allocation);
@@ -288,8 +290,7 @@ Status VaqIndex::LoadOptionsSection(std::istream& is) {
   options_.min_bits = u64;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u64));
   options_.max_bits = u64;
-  VAQ_RETURN_IF_ERROR(ReadPod(is, &f64));
-  options_.target_variance = f64;
+  VAQ_RETURN_IF_ERROR(ReadPod(is, &f64));  // former C1 slot, unused
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u8));
   options_.clustered_subspaces = u8;
   VAQ_RETURN_IF_ERROR(ReadPod(is, &u8));

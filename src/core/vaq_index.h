@@ -83,7 +83,8 @@ class VaqIndex {
   size_t code_bytes() const { return store_.blocked().bytes(); }
 
   /// k-NN search for a raw (unprojected) query of length dim(). Results
-  /// are ADC distance estimates (non-squared), ascending. This overload
+  /// are ADC distance estimates (non-squared), ascending. `stats`, when
+  /// given, is reset and then describes this query alone. This overload
   /// allocates a fresh SearchScratch per call.
   Status Search(const float* query, const SearchParams& params,
                 std::vector<Neighbor>* out, SearchStats* stats = nullptr) const;

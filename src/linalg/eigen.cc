@@ -139,14 +139,7 @@ bool Tqli(std::vector<double>* d, std::vector<double>* e, DoubleMatrix* z) {
 
 }  // namespace
 
-Result<EigenDecomposition> JacobiEigenSymmetric(const DoubleMatrix& input,
-                                                int max_sweeps,
-                                                double tolerance) {
-  // Parameters retained for API stability; the implementation is the
-  // Householder + implicit-QL pair (tred2/tqli), which is far faster than
-  // cyclic Jacobi at the matrix sizes this library sees.
-  (void)max_sweeps;
-  (void)tolerance;
+Result<EigenDecomposition> EigenSymmetric(const DoubleMatrix& input) {
   if (input.rows() != input.cols()) {
     return Status::InvalidArgument("eigendecomposition requires a square "
                                    "matrix");

@@ -16,16 +16,15 @@ struct EigenDecomposition {
   DoubleMatrix vectors;
 };
 
-/// Cyclic Jacobi eigensolver for dense symmetric matrices.
+/// Eigensolver for dense symmetric matrices: Householder reduction to
+/// tridiagonal form followed by the implicit QL algorithm (tred2/tqli).
+/// Adequate for the d x d covariance matrices this library needs (d up to
+/// a few thousand), matching Algorithm 1 (VarPCA) of the paper.
 ///
-/// Runs sweeps of plane rotations that annihilate off-diagonal entries until
-/// the off-diagonal Frobenius mass falls below `tolerance` (relative to the
-/// matrix norm) or `max_sweeps` is reached. Adequate for the d x d
-/// covariance matrices this library needs (d up to a few thousand), matching
-/// Algorithm 1 (VarPCA) of the paper.
-Result<EigenDecomposition> JacobiEigenSymmetric(const DoubleMatrix& a,
-                                                int max_sweeps = 64,
-                                                double tolerance = 1e-12);
+/// Rejects non-square, empty and non-symmetric inputs with
+/// kInvalidArgument, and fails with kInternal if the QL iteration does not
+/// converge.
+Result<EigenDecomposition> EigenSymmetric(const DoubleMatrix& a);
 
 }  // namespace vaq
 

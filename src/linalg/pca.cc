@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "linalg/covariance.h"
-#include "linalg/sketch.h"
 #include "linalg/eigen.h"
 
 namespace vaq {
@@ -15,29 +14,7 @@ Status Pca::Fit(const FloatMatrix& x, const Options& options) {
   if (x.cols() == 0) {
     return Status::InvalidArgument("PCA requires at least 1 dimension");
   }
-  DoubleMatrix cov;
-  if (options.sketch_size > 0) {
-    FrequentDirections sketch(x.cols(), options.sketch_size);
-    if (options.center) {
-      const std::vector<double> mu = ColumnMeans(x);
-      std::vector<float> centered(x.cols());
-      for (size_t r = 0; r < x.rows(); ++r) {
-        const float* row = x.row(r);
-        for (size_t c = 0; c < x.cols(); ++c) {
-          centered[c] = row[c] - static_cast<float>(mu[c]);
-        }
-        sketch.Append(centered.data());
-      }
-    } else {
-      sketch.AppendAll(x);
-    }
-    auto approx = sketch.ApproximateCovariance();
-    if (!approx.ok()) return approx.status();
-    cov = std::move(*approx);
-  } else {
-    cov = Covariance(x, options.center);
-  }
-  auto eig = JacobiEigenSymmetric(cov);
+  auto eig = EigenSymmetric(Covariance(x, options.center));
   if (!eig.ok()) return eig.status();
 
   const size_t d = x.cols();

@@ -21,11 +21,6 @@ class Pca {
     /// z-normalized data where centering is a no-op; we default to true so
     /// the eigenvalues are true variances for arbitrary inputs.
     bool center = true;
-    /// When > 0, approximate the covariance with a Frequent Directions
-    /// sketch of this many rows instead of the exact n*d^2 accumulation
-    /// (Section III-B's pointer for large data; accuracy degrades
-    /// gracefully as the sketch shrinks). 0 = exact.
-    size_t sketch_size = 0;
   };
 
   Pca() = default;

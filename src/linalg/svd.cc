@@ -30,7 +30,7 @@ Result<SvdResult> ThinSvd(const FloatMatrix& a) {
     for (size_t j = i + 1; j < d; ++j) gram(j, i) = gram(i, j);
   }
 
-  auto eig = JacobiEigenSymmetric(gram);
+  auto eig = EigenSymmetric(gram);
   if (!eig.ok()) return eig.status();
 
   SvdResult out;

@@ -11,7 +11,7 @@
 ///   vaq::HnswIndex / InvertedMultiIndex / IsaxIndex / DsTreeIndex —
 ///   rival indexes
 /// plus dataset generators (datasets/), evaluation utilities (eval/), and
-/// the numeric substrates (linalg/, clustering/, solver/).
+/// the numeric substrates (linalg/, clustering/).
 
 #include "common/cpu_features.h"
 #include "common/matrix.h"
@@ -39,7 +39,6 @@
 #include "index/isax.h"
 #include "index/vaq_ivf.h"
 #include "linalg/pca.h"
-#include "linalg/sketch.h"
 #include "quant/bolt.h"
 #include "quant/itq.h"
 #include "quant/opq.h"

@@ -25,7 +25,7 @@ DoubleMatrix RandomSymmetric(size_t n, uint64_t seed) {
 TEST(EigenTest, IdentityMatrix) {
   DoubleMatrix id(4, 4, 0.0);
   for (size_t i = 0; i < 4; ++i) id(i, i) = 1.0;
-  auto result = JacobiEigenSymmetric(id);
+  auto result = EigenSymmetric(id);
   ASSERT_TRUE(result.ok());
   for (double v : result->values) EXPECT_NEAR(v, 1.0, 1e-10);
 }
@@ -35,7 +35,7 @@ TEST(EigenTest, DiagonalMatrixSortedDescending) {
   d(0, 0) = 1.0;
   d(1, 1) = 5.0;
   d(2, 2) = 3.0;
-  auto result = JacobiEigenSymmetric(d);
+  auto result = EigenSymmetric(d);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->values[0], 5.0, 1e-10);
   EXPECT_NEAR(result->values[1], 3.0, 1e-10);
@@ -49,7 +49,7 @@ TEST(EigenTest, Known2x2) {
   m(0, 1) = 1;
   m(1, 0) = 1;
   m(1, 1) = 2;
-  auto result = JacobiEigenSymmetric(m);
+  auto result = EigenSymmetric(m);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->values[0], 3.0, 1e-10);
   EXPECT_NEAR(result->values[1], 1.0, 1e-10);
@@ -59,20 +59,20 @@ TEST(EigenTest, Known2x2) {
 
 TEST(EigenTest, RejectsNonSquare) {
   DoubleMatrix m(2, 3, 0.0);
-  EXPECT_FALSE(JacobiEigenSymmetric(m).ok());
+  EXPECT_FALSE(EigenSymmetric(m).ok());
 }
 
 TEST(EigenTest, RejectsNonSymmetric) {
   DoubleMatrix m(2, 2, 0.0);
   m(0, 1) = 1.0;
   m(1, 0) = 5.0;
-  EXPECT_EQ(JacobiEigenSymmetric(m).status().code(),
+  EXPECT_EQ(EigenSymmetric(m).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(EigenTest, RejectsEmpty) {
   DoubleMatrix m;
-  EXPECT_FALSE(JacobiEigenSymmetric(m).ok());
+  EXPECT_FALSE(EigenSymmetric(m).ok());
 }
 
 class EigenPropertyTest : public ::testing::TestWithParam<size_t> {};
@@ -80,7 +80,7 @@ class EigenPropertyTest : public ::testing::TestWithParam<size_t> {};
 TEST_P(EigenPropertyTest, ReconstructsInput) {
   const size_t n = GetParam();
   const DoubleMatrix m = RandomSymmetric(n, 1000 + n);
-  auto result = JacobiEigenSymmetric(m);
+  auto result = EigenSymmetric(m);
   ASSERT_TRUE(result.ok());
   // Check A == V diag(values) V^T entry-wise.
   for (size_t i = 0; i < n; ++i) {
@@ -98,7 +98,7 @@ TEST_P(EigenPropertyTest, ReconstructsInput) {
 TEST_P(EigenPropertyTest, EigenvectorsOrthonormal) {
   const size_t n = GetParam();
   const DoubleMatrix m = RandomSymmetric(n, 2000 + n);
-  auto result = JacobiEigenSymmetric(m);
+  auto result = EigenSymmetric(m);
   ASSERT_TRUE(result.ok());
   for (size_t a = 0; a < n; ++a) {
     for (size_t b = a; b < n; ++b) {
@@ -114,7 +114,7 @@ TEST_P(EigenPropertyTest, EigenvectorsOrthonormal) {
 TEST_P(EigenPropertyTest, TraceEqualsEigenvalueSum) {
   const size_t n = GetParam();
   const DoubleMatrix m = RandomSymmetric(n, 3000 + n);
-  auto result = JacobiEigenSymmetric(m);
+  auto result = EigenSymmetric(m);
   ASSERT_TRUE(result.ok());
   double trace = 0.0, sum = 0.0;
   for (size_t i = 0; i < n; ++i) trace += m(i, i);

@@ -1,7 +1,6 @@
 // Tests for the extension features: exact re-ranking, symmetric distance
-// computation (SDC), custom allocation constraints and weights, the
-// configurable early-abandon interval, parallel encoding, the Frequent
-// Directions sketch, and baseline persistence.
+// computation (SDC), the configurable early-abandon interval, parallel
+// encoding, and baseline persistence.
 
 #include <gtest/gtest.h>
 
@@ -9,16 +8,11 @@
 #include <cstdio>
 #include <fstream>
 
-#include "common/rng.h"
-#include "core/allocation.h"
 #include "core/vaq_index.h"
 #include "datasets/synthetic.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
 #include "eval/rerank.h"
-#include "linalg/covariance.h"
-#include "linalg/pca.h"
-#include "linalg/sketch.h"
 #include "quant/pq.h"
 
 namespace vaq {
@@ -142,66 +136,6 @@ TEST(SdcTest, PqSdcSearchCloseToAdc) {
   EXPECT_GE(sdc_recall, adc_recall - 0.25);
 }
 
-TEST(AllocationExtensionsTest, WeightOverrideChangesAllocation) {
-  const std::vector<double> vars = {8, 4, 2, 1};
-  AllocationOptions opts;
-  opts.total_bits = 20;
-  opts.min_bits = 1;
-  opts.max_bits = 13;
-  auto base = AllocateBits(vars, opts);
-  ASSERT_TRUE(base.ok());
-
-  // Invert the importance: the caller knows the last subspace matters.
-  opts.weight_override = {0.1, 0.1, 0.1, 0.7};
-  auto overridden = AllocateBits(vars, opts);
-  ASSERT_TRUE(overridden.ok());
-  EXPECT_GT(overridden->bits[3], base->bits[3]);
-  EXPECT_EQ(overridden->bits[0] + overridden->bits[1] + overridden->bits[2] +
-                overridden->bits[3],
-            20);
-}
-
-TEST(AllocationExtensionsTest, WeightOverrideWidthChecked) {
-  AllocationOptions opts;
-  opts.total_bits = 8;
-  opts.weight_override = {1.0};  // wrong width
-  EXPECT_FALSE(AllocateBits({2, 1}, opts).ok());
-}
-
-TEST(AllocationExtensionsTest, ExtraConstraintHonored) {
-  const std::vector<double> vars = {8, 4, 2, 1};
-  AllocationOptions opts;
-  opts.total_bits = 16;
-  opts.min_bits = 1;
-  opts.max_bits = 13;
-  // SLA-style row: subspaces 0 and 1 together get at most 9 bits.
-  LinearConstraint row;
-  row.coeffs = {1, 1, 0, 0};
-  row.relation = Relation::kLessEqual;
-  row.rhs = 9;
-  opts.extra_constraints.push_back(row);
-  auto alloc = AllocateBits(vars, opts);
-  ASSERT_TRUE(alloc.ok());
-  EXPECT_LE(alloc->bits[0] + alloc->bits[1], 9);
-  EXPECT_EQ(alloc->bits[0] + alloc->bits[1] + alloc->bits[2] + alloc->bits[3],
-            16);
-}
-
-TEST(AllocationExtensionsTest, InfeasibleExtraConstraintReported) {
-  AllocationOptions opts;
-  opts.total_bits = 8;
-  opts.min_bits = 1;
-  opts.max_bits = 13;
-  LinearConstraint row;
-  row.coeffs = {1, 1};
-  row.relation = Relation::kGreaterEqual;
-  row.rhs = 100;  // impossible
-  opts.extra_constraints.push_back(row);
-  auto alloc = AllocateBits({2, 1}, opts);
-  ASSERT_FALSE(alloc.ok());
-  EXPECT_EQ(alloc.status().code(), StatusCode::kInfeasible);
-}
-
 TEST(EaIntervalTest, AnyIntervalGivesIdenticalResults) {
   const FloatMatrix base = RandomData(1000, 24, 17);
   const FloatMatrix queries = RandomData(8, 24, 117);
@@ -269,83 +203,6 @@ TEST(ParallelTrainTest, ThreadedVaqIndexMatchesSerial) {
   ASSERT_TRUE(b->Search(base.row(0), params, &rb).ok());
   ASSERT_EQ(ra.size(), rb.size());
   for (size_t i = 0; i < ra.size(); ++i) EXPECT_EQ(ra[i].id, rb[i].id);
-}
-
-TEST(FrequentDirectionsTest, CovarianceErrorWithinBound) {
-  const size_t n = 500, d = 24, l = 12;
-  const FloatMatrix a = RandomData(n, d, 29);
-  FrequentDirections fd(d, l);
-  fd.AppendAll(a);
-  auto approx = fd.ApproximateCovariance();
-  ASSERT_TRUE(approx.ok());
-  const DoubleMatrix exact = Covariance(a, /*center=*/false);
-
-  // Liberty's guarantee: 0 <= x^T (A^T A - B^T B) x <= 2 ||A||_F^2 / l.
-  double frob_sq = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    frob_sq += static_cast<double>(a.data()[i]) * a.data()[i];
-  }
-  const double bound = 2.0 * frob_sq / static_cast<double>(l) /
-                       static_cast<double>(n);  // covariances are /n
-  Rng rng(31);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> x(d);
-    double norm = 0.0;
-    for (auto& v : x) {
-      v = rng.Gaussian();
-      norm += v * v;
-    }
-    norm = std::sqrt(norm);
-    for (auto& v : x) v /= norm;
-    double diff = 0.0;
-    for (size_t i = 0; i < d; ++i) {
-      for (size_t j = 0; j < d; ++j) {
-        diff += x[i] * (exact(i, j) - (*approx)(i, j)) * x[j];
-      }
-    }
-    EXPECT_GE(diff, -1e-3);
-    EXPECT_LE(diff, bound + 1e-3);
-  }
-}
-
-TEST(FrequentDirectionsTest, ExactWhenSketchHoldsEverything) {
-  const FloatMatrix a = RandomData(10, 6, 37);
-  FrequentDirections fd(6, 16);  // sketch larger than the stream
-  fd.AppendAll(a);
-  auto approx = fd.ApproximateCovariance();
-  ASSERT_TRUE(approx.ok());
-  const DoubleMatrix exact = Covariance(a, false);
-  for (size_t i = 0; i < 6; ++i) {
-    for (size_t j = 0; j < 6; ++j) {
-      EXPECT_NEAR((*approx)(i, j), exact(i, j), 1e-4);
-    }
-  }
-}
-
-TEST(FrequentDirectionsTest, EmptyStreamRejected) {
-  FrequentDirections fd(4, 2);
-  EXPECT_FALSE(fd.ApproximateCovariance().ok());
-}
-
-TEST(SketchedPcaTest, TopComponentsCloseToExact) {
-  // Low intrinsic dimension: the sketch must capture the leading PCs.
-  const FloatMatrix data = GenerateSpectrumMixture(
-      800, 32, PowerLawSpectrum(32, 2.0), 1, 0.0, 41);
-  Pca exact, sketched;
-  Pca::Options exact_opts;
-  Pca::Options sketch_opts;
-  sketch_opts.sketch_size = 16;
-  ASSERT_TRUE(exact.Fit(data, exact_opts).ok());
-  ASSERT_TRUE(sketched.Fit(data, sketch_opts).ok());
-  // Leading eigenvalue within 20% and leading eigenvector aligned.
-  EXPECT_NEAR(sketched.eigenvalues()[0], exact.eigenvalues()[0],
-              0.2 * exact.eigenvalues()[0]);
-  double dot = 0.0;
-  for (size_t i = 0; i < 32; ++i) {
-    dot += static_cast<double>(sketched.components()(i, 0)) *
-           exact.components()(i, 0);
-  }
-  EXPECT_GT(std::fabs(dot), 0.95);
 }
 
 TEST(PqPersistenceTest, SaveLoadRoundtrip) {

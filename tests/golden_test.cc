@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "core/allocation.h"
 #include "core/balance.h"
@@ -111,9 +113,9 @@ TEST(AllocationGoldenTest, TextbookRateAllocation) {
   opts.max_bits = 13;
   auto alloc = AllocateBits({4.0, 1.0}, opts);
   ASSERT_TRUE(alloc.ok());
-  EXPECT_EQ(alloc->bits[0] + alloc->bits[1], 8);
-  EXPECT_EQ(alloc->bits[0], 4);
-  EXPECT_EQ(alloc->bits[1], 4);
+  EXPECT_EQ((*alloc)[0] + (*alloc)[1], 8);
+  EXPECT_EQ((*alloc)[0], 4);
+  EXPECT_EQ((*alloc)[1], 4);
 }
 
 TEST(AllocationGoldenTest, SixteenToOneRatioGivesTwoBitGap) {
@@ -124,8 +126,8 @@ TEST(AllocationGoldenTest, SixteenToOneRatioGivesTwoBitGap) {
   opts.max_bits = 13;
   auto alloc = AllocateBits({16.0, 1.0}, opts);
   ASSERT_TRUE(alloc.ok());
-  EXPECT_EQ(alloc->bits[0], 6);
-  EXPECT_EQ(alloc->bits[1], 4);
+  EXPECT_EQ((*alloc)[0], 6);
+  EXPECT_EQ((*alloc)[1], 4);
 }
 
 TEST(AllocationGoldenTest, ClampAtMaxRedistributesToTail) {
@@ -136,9 +138,29 @@ TEST(AllocationGoldenTest, ClampAtMaxRedistributesToTail) {
   opts.max_bits = 6;
   auto alloc = AllocateBits({1e6, 1.0, 1.0}, opts);
   ASSERT_TRUE(alloc.ok());
-  EXPECT_EQ(alloc->bits[0], 6);                       // clamped
-  EXPECT_EQ(alloc->bits[1] + alloc->bits[2], 6);      // remainder split
-  EXPECT_EQ(alloc->bits[1], alloc->bits[2]);          // equal variances
+  EXPECT_EQ((*alloc)[0], 6);                // clamped
+  EXPECT_EQ((*alloc)[1] + (*alloc)[2], 6);  // remainder split
+  EXPECT_EQ((*alloc)[1], (*alloc)[2]);      // equal variances
+}
+
+TEST(AllocationGoldenTest, PaperConfiguration32Subspaces) {
+  // The paper's configuration (m = 32, B = 256, bits in [1, 13]) over a
+  // geometric spectrum 0.85^i; recorded when the allocation still went
+  // through a MILP whose only feasible point was this water-filling.
+  std::vector<double> vars(32);
+  for (size_t i = 0; i < vars.size(); ++i) {
+    vars[i] = std::pow(0.85, static_cast<double>(i));
+  }
+  AllocationOptions opts;
+  opts.total_bits = 256;
+  opts.min_bits = 1;
+  opts.max_bits = 13;
+  auto alloc = AllocateBits(vars, opts);
+  ASSERT_TRUE(alloc.ok());
+  const std::vector<int> expected = {10, 10, 10, 9, 9, 9, 9, 9, 9, 9, 9,
+                                     9,  8,  8,  8, 8, 8, 8, 8, 8, 7, 7,
+                                     7,  7,  7,  7, 7, 7, 7, 6, 6, 6};
+  EXPECT_EQ(*alloc, expected);
 }
 
 }  // namespace

@@ -499,6 +499,28 @@ TEST_F(SearchTelemetryTest, ReusedStatsCountEveryQuerysPartitions) {
   EXPECT_EQ(partitions->value(), before + stats.partitions_visited);
 }
 
+TEST_F(SearchTelemetryTest, QueryWithoutStatsCountsItsWork) {
+  // A caller that asks for no SearchStats still gets its work counted:
+  // a heap query fully accumulates every row, with or without stats.
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* rows = reg.GetCounter("vaq_scan_rows_scanned_total", "");
+  SearchParams params;
+  params.k = 10;
+  params.mode = SearchMode::kHeap;
+  std::vector<Neighbor> result;
+  uint64_t before = rows->value();
+  ASSERT_TRUE(index_->Search(base_->row(8), params, &result).ok());
+  EXPECT_EQ(rows->value(), before + index_->size());
+
+  const FloatMatrix queries = base_->GatherRows({0, 1, 2});
+  std::vector<std::vector<Neighbor>> results;
+  before = rows->value();
+  ASSERT_TRUE(
+      index_->SearchBatchInto(queries, params, /*num_threads=*/2, &results)
+          .ok());
+  EXPECT_EQ(rows->value(), before + queries.rows() * index_->size());
+}
+
 // Captured log lines for the slow-query test (plain function pointer
 // sink => file-scope storage).
 std::mutex g_log_mu;

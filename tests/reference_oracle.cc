@@ -32,12 +32,10 @@ void EarlyAbandonPush(const VariableCodebooks& books, const uint16_t* code,
     }
     if (acc > threshold_sq) break;
   }
-  if (stats != nullptr) {
-    stats->lut_adds += s;
-    ++stats->codes_visited;
-  }
+  stats->lut_adds += s;
+  ++stats->codes_visited;
   if (s < s_limit) return;
-  if (stats != nullptr) ++stats->rows_scanned;
+  ++stats->rows_scanned;
   heap->Push(acc, id);
 }
 
@@ -100,11 +98,9 @@ void ScanRows(const VaqIndex& index, const float* projected,
         acc += lut[books.lut_offset(s) + code[s]];
       }
       heap->Push(acc, static_cast<int64_t>(ids[pos]));
-      if (stats != nullptr) {
-        ++stats->codes_visited;
-        stats->lut_adds += s_limit;
-        ++stats->rows_scanned;
-      }
+      ++stats->codes_visited;
+      stats->lut_adds += s_limit;
+      ++stats->rows_scanned;
     }
     return;
   }
@@ -130,7 +126,7 @@ void ScanRows(const VaqIndex& index, const float* projected,
 
   for (size_t v = 0; v < visit; ++v) {
     if (stop != nullptr && stop->ShouldStop()) return;
-    if (stats != nullptr) ++stats->partitions_visited;
+    ++stats->partitions_visited;
     const size_t c = order[v];
     // Cluster c is store positions [base, base + size); its cached
     // distances are ti.distances() at those positions, indexed below
@@ -151,9 +147,7 @@ void ScanRows(const VaqIndex& index, const float* projected,
       const float r = std::sqrt(heap->Threshold());
       begin = std::lower_bound(cached, cached + size, dq - r) - cached;
       end = std::upper_bound(cached, cached + size, dq + r) - cached;
-      if (stats != nullptr) {
-        stats->codes_skipped_ti += size - (end - begin);
-      }
+      stats->codes_skipped_ti += size - (end - begin);
     }
     // The blocked scan checks the deadline once per store block it scans
     // in; check before the first row scanned in each block.
@@ -164,11 +158,11 @@ void ScanRows(const VaqIndex& index, const float* projected,
         const float dx = cached[i];
         if (dx >= dq + r) {
           // Sorted ascending: every later member is also out of range.
-          if (stats != nullptr) stats->codes_skipped_ti += end - i;
+          stats->codes_skipped_ti += end - i;
           break;
         }
         if (dx <= dq - r) {
-          if (stats != nullptr) ++stats->codes_skipped_ti;
+          ++stats->codes_skipped_ti;
           continue;
         }
       }
@@ -205,12 +199,13 @@ Status ReferenceSearch(const VaqIndex& index, const float* query,
                                       static_cast<double>(clusters))),
         1, clusters);
   }
-  if (stats != nullptr) {  // the plan, stamped before projection
-    stats->partitions_total = clusters;
-    stats->clusters_visited = visit;
-    stats->partitions_visited = 0;
-  }
-  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
+  // Like production: a reset (or local) stats, then the plan, stamped
+  // before projection.
+  SearchStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  stats->Reset();
+  stats->partitions_total = clusters;
+  stats->clusters_visited = visit;
   StopController stop(params.deadline, params.cancel_token);
   StopController* stop_ptr = stop.armed() ? &stop : nullptr;
   // The same check points as production: after projection, after the
@@ -223,7 +218,7 @@ Status ReferenceSearch(const VaqIndex& index, const float* query,
              &heap, stats, stop_ptr);
   }
   return FinalizeSearchResult(stop_ptr, params.strict_deadline, &heap, out,
-                              stats, before, /*trace=*/nullptr,
+                              stats, /*trace=*/nullptr,
                               /*wall_micros=*/0.0, /*cpu_micros=*/0.0);
 }
 
@@ -234,12 +229,13 @@ Status ReferenceIvfSearch(const VaqIvfIndex& index, const float* query,
   const FloatMatrix& centroids = index.coarse().centroids();
   const size_t cells = centroids.rows();
   nprobe = std::min(nprobe, cells);
-  if (stats != nullptr) {  // the plan, stamped before projection
-    stats->partitions_total = cells;
-    stats->clusters_visited = nprobe;
-    stats->partitions_visited = 0;
-  }
-  const SearchStats before = stats != nullptr ? *stats : SearchStats{};
+  // Like production: a reset (or local) stats, then the plan, stamped
+  // before projection.
+  SearchStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  stats->Reset();
+  stats->partitions_total = cells;
+  stats->clusters_visited = nprobe;
   StopController stop_state(control.deadline, control.cancel_token);
   StopController* stop = stop_state.armed() ? &stop_state : nullptr;
   const VariableCodebooks& books = index.encoder().codebooks();
@@ -256,7 +252,7 @@ Status ReferenceIvfSearch(const VaqIvfIndex& index, const float* query,
     if (stop != nullptr && stop->ShouldStop()) return;
     for (size_t v = 0; v < nprobe; ++v) {
       if (stop != nullptr && stop->ShouldStop()) return;
-      if (stats != nullptr) ++stats->partitions_visited;
+      ++stats->partitions_visited;
       const size_t c = order[v];
       size_t checked_block = SIZE_MAX;
       for (size_t pos = store.partition_begin(c);
@@ -276,7 +272,7 @@ Status ReferenceIvfSearch(const VaqIvfIndex& index, const float* query,
     scan();
   }
   return FinalizeSearchResult(stop, control.strict_deadline, &heap, out,
-                              stats, before, /*trace=*/nullptr,
+                              stats, /*trace=*/nullptr,
                               /*wall_micros=*/0.0, /*cpu_micros=*/0.0);
 }
 

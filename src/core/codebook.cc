@@ -10,6 +10,7 @@
 #include "common/io.h"
 #include "common/macros.h"
 #include "common/parallel.h"
+#include "core/scan.h"
 
 namespace vaq {
 namespace {
@@ -85,10 +86,16 @@ void VariableCodebooks::ComputeLutOffsets() {
 
 void VariableCodebooks::EncodeRow(const float* x, uint16_t* code) const {
   VAQ_DCHECK(trained_);
+  const ScanKernel& kernel = GetScanKernel(ScanKernelType::kAuto);
   for (size_t s = 0; s < layout_.num_subspaces(); ++s) {
     const SubspaceSpan& span = layout_.span(s);
     const FloatMatrix& dict = centroids_[s];
     const float* sub = x + span.offset;
+    if (span.length == 4) {
+      code[s] = static_cast<uint16_t>(
+          kernel.span4_nearest(sub, dict.data(), dict.rows()));
+      continue;
+    }
     float best = std::numeric_limits<float>::max();
     uint16_t best_code = 0;
     for (size_t c = 0; c < dict.rows(); ++c) {
@@ -131,12 +138,17 @@ void VariableCodebooks::BuildLookupTable(const float* query,
                                          size_t prefix_subspaces) const {
   VAQ_DCHECK(trained_);
   lut->resize(lut_entries_);
+  const ScanKernel& kernel = GetScanKernel(ScanKernelType::kAuto);
   const size_t end = std::min(prefix_subspaces, layout_.num_subspaces());
   for (size_t s = 0; s < end; ++s) {
     const SubspaceSpan& span = layout_.span(s);
     const FloatMatrix& dict = centroids_[s];
     const float* sub = query + span.offset;
     float* block = lut->data() + lut_offsets_[s];
+    if (span.length == 4) {
+      kernel.span4_distances(sub, dict.data(), dict.rows(), block);
+      continue;
+    }
     for (size_t c = 0; c < dict.rows(); ++c) {
       block[c] = SquaredL2(sub, dict.row(c), span.length);
     }

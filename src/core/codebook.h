@@ -47,7 +47,11 @@ class VariableCodebooks {
   Result<CodeMatrix> Encode(const FloatMatrix& data,
                             size_t num_threads = 1) const;
 
-  /// Encodes a single vector (length dim()) into `code` (num_subspaces()).
+  /// Encodes a single vector (length dim()) into `code` (num_subspaces()):
+  /// per subspace, the first dictionary item at the smallest squared L2
+  /// distance (SquaredL2). Subspaces of width 4 go through the kernel the
+  /// CPU picks (ScanKernel::span4_nearest, core/scan.h), which returns
+  /// the same code.
   void EncodeRow(const float* x, uint16_t* code) const;
 
   /// Reconstructs the vector represented by `code` into `out`
@@ -67,7 +71,10 @@ class VariableCodebooks {
   /// Algorithm 4 lines 5-13. Only the first `prefix_subspaces` subspaces'
   /// entries are written (capped at num_subspaces()); later entries are
   /// left untouched and `query` need only hold those subspaces' dims. The
-  /// TI partition builds its centroids' prefix tables this way.
+  /// TI partition builds its centroids' prefix tables this way. Every
+  /// entry equals SquaredL2 bit for bit; subspaces of width 4 are computed
+  /// 8 entries at a time by the kernel the CPU picks
+  /// (ScanKernel::span4_distances, core/scan.h).
   void BuildLookupTable(
       const float* query, std::vector<float>* lut,
       size_t prefix_subspaces = std::numeric_limits<size_t>::max()) const;

@@ -1,10 +1,11 @@
 #include "core/scan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <numeric>
+#include <limits>
 
 #include "common/cpu_features.h"
 #include "common/log.h"
@@ -88,7 +89,29 @@ void ScalarAccumulate(const uint16_t* block, const float* lut,
   }
 }
 
-constexpr ScanKernel kScalarKernel{&ScalarAccumulate, "scalar"};
+void ScalarSpan4Distances(const float* query, const float* rows,
+                          size_t count, float* out) {
+  for (size_t c = 0; c < count; ++c) {
+    out[c] = SquaredL2(query, rows + 4 * c, 4);
+  }
+}
+
+uint32_t ScalarSpan4Nearest(const float* query, const float* rows,
+                            size_t count) {
+  float best = std::numeric_limits<float>::max();
+  uint32_t best_c = 0;
+  for (size_t c = 0; c < count; ++c) {
+    const float dist = SquaredL2(query, rows + 4 * c, 4);
+    if (dist < best) {
+      best = dist;
+      best_c = static_cast<uint32_t>(c);
+    }
+  }
+  return best_c;
+}
+
+constexpr ScanKernel kScalarKernel{&ScalarAccumulate, &ScalarSpan4Distances,
+                                   &ScalarSpan4Nearest, "scalar"};
 
 }  // namespace
 
@@ -98,10 +121,16 @@ namespace internal {
 void Avx2Accumulate(const uint16_t* block, const float* lut,
                     const uint32_t* lut_offsets, size_t s_begin, size_t s_end,
                     float* acc);
+void Avx2Span4Distances(const float* query, const float* rows, size_t count,
+                        float* out);
+uint32_t Avx2Span4Nearest(const float* query, const float* rows,
+                          size_t count);
 }  // namespace internal
 
 namespace {
-constexpr ScanKernel kAvx2Kernel{&internal::Avx2Accumulate, "avx2"};
+constexpr ScanKernel kAvx2Kernel{&internal::Avx2Accumulate,
+                                 &internal::Avx2Span4Distances,
+                                 &internal::Avx2Span4Nearest, "avx2"};
 }  // namespace
 #endif
 
@@ -149,18 +178,21 @@ const ScanKernel& GetScanKernel(ScanKernelType type) {
 void RankPartitions(const FloatMatrix& centroids, const float* query,
                     size_t visit, std::vector<float>* dist,
                     std::vector<size_t>* order) {
+  static_assert(sizeof(size_t) >= sizeof(uint64_t),
+                "order holds 64-bit packed keys");
   const size_t n = centroids.rows();
+  VAQ_DCHECK(n <= std::numeric_limits<uint32_t>::max());
   dist->resize(n);
-  for (size_t p = 0; p < n; ++p) {
-    (*dist)[p] = SquaredL2(query, centroids.row(p), centroids.cols());
-  }
   order->resize(n);
-  std::iota(order->begin(), order->end(), size_t{0});
-  const float* d = dist->data();
-  std::partial_sort(order->begin(), order->begin() + std::min(visit, n),
-                    order->end(), [d](size_t a, size_t b) {
-                      return d[a] != d[b] ? d[a] < d[b] : a < b;
-                    });
+  for (size_t p = 0; p < n; ++p) {
+    const float d = SquaredL2(query, centroids.row(p), centroids.cols());
+    (*dist)[p] = d;
+    (*order)[p] = uint64_t{std::bit_cast<uint32_t>(d)} << 32 | p;
+  }
+  const auto last = order->begin() + std::min(visit, n);
+  std::nth_element(order->begin(), last, order->end());
+  std::sort(order->begin(), last);
+  for (auto it = order->begin(); it != last; ++it) *it &= 0xffffffffu;
 }
 
 void BlockedFullScan(const BlockedCodes& bc, const uint32_t* ids,
@@ -338,6 +370,15 @@ Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
     }
   }
   RecordQueryTelemetry(*stats, status, trace);
+  return status;
+}
+
+Status FinalizeRejectedQuery(Status status, SearchStats* stats) {
+  VAQ_DCHECK(!status.ok());
+  SearchStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  stats->Reset();
+  RecordQueryTelemetry(*stats, status, nullptr);
   return status;
 }
 

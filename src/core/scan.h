@@ -52,10 +52,10 @@ struct SearchStats {
   void Reset() { *this = SearchStats{}; }
 };
 
-/// Which ADC scan kernel GetScanKernel returns. Both indexes and the TI
-/// partition build run kAuto, so the CPU (and VAQ_SCAN_KERNEL=scalar)
-/// alone picks the kernel; the explicit values serve kernel benchmarks
-/// and tests.
+/// Which kernel table GetScanKernel returns. Both indexes, the TI
+/// partition build and the codebooks' LUT build and encoding run kAuto,
+/// so the CPU (and VAQ_SCAN_KERNEL=scalar) alone picks the kernel; the
+/// explicit values serve kernel benchmarks and tests.
 enum class ScanKernelType {
   kAuto,    ///< best blocked kernel the CPU supports (the default)
   kScalar,  ///< blocked scalar kernel (always available)
@@ -150,19 +150,37 @@ class PartitionedCodes {
   std::vector<size_t> offsets_;
 };
 
-/// One ADC accumulation kernel. `accumulate` adds, for every lane
-/// i in [0, kScanBlockSize), the LUT entries of subspaces
-/// [s_begin, s_end) selected by the block's transposed codes:
+/// One kernel table: the ADC accumulation of the block scan plus the
+/// two span-4 codeword kernels behind lookup-table builds and encoding.
+/// Every implementation returns bit-identical results.
+///
+/// `accumulate` adds, for every lane i in [0, kScanBlockSize), the LUT
+/// entries of subspaces [s_begin, s_end) selected by the block's
+/// transposed codes:
 ///
 ///   acc[i] += sum_{s in [s_begin, s_end)} lut[lut_offsets[s] + block[s*64+i]]
 ///
-/// with the per-lane additions performed in ascending subspace order, so
-/// every implementation produces bit-identical float sums.
+/// with the per-lane additions performed in ascending subspace order.
+///
+/// `span4_distances` writes out[c] = SquaredL2(query, rows + 4c, 4) for
+/// every c in [0, count) of a row-major dictionary of 4-wide codewords,
+/// summed in SquaredL2's order ((d0² + d1²) + d2²) + d3², so each entry
+/// equals SquaredL2's bit for bit.
+///
+/// `span4_nearest` returns the first c in [0, count) whose such distance
+/// is the smallest and below FLT_MAX (0 when none is), the rule of a
+/// strict-< scan over the dictionary in order.
 struct ScanKernel {
   using AccumulateFn = void (*)(const uint16_t* block, const float* lut,
                                 const uint32_t* lut_offsets, size_t s_begin,
                                 size_t s_end, float* acc);
+  using Span4DistancesFn = void (*)(const float* query, const float* rows,
+                                    size_t count, float* out);
+  using Span4NearestFn = uint32_t (*)(const float* query, const float* rows,
+                                      size_t count);
   AccumulateFn accumulate = nullptr;
+  Span4DistancesFn span4_distances = nullptr;
+  Span4NearestFn span4_nearest = nullptr;
   const char* name = "";
 };
 
@@ -181,7 +199,8 @@ struct SearchScratch {
   std::vector<float> pca_space;         ///< query in PCA space
   std::vector<float> projected;         ///< query in permuted PCA space
   std::vector<float> partition_dist;    ///< squared centroid distances
-  std::vector<size_t> order;            ///< partition visit order
+  std::vector<size_t> order;            ///< partition visit order (and
+                                        ///< RankPartitions' sort keys)
   TopKHeap heap{1};                     ///< reused best-so-far structure
   float acc[kScanBlockSize] = {};       ///< per-block partial sums
 };
@@ -193,6 +212,13 @@ struct SearchScratch {
 /// `visit` nearest partitions ascending by (distance, p) — ties go to the
 /// smaller partition index. Entries of `order` past `visit` are
 /// unspecified; `visit` is capped at centroids.rows().
+///
+/// `order` doubles as the sort buffer: entry p first holds the packed key
+/// bits(dist[p]) << 32 | p. A distance is a sum of squares (>= +0), so
+/// its float bits order like its value and the keys order like
+/// (distance, p); nth_element and a sort of the first `visit` keys
+/// select and order the nearest, and masking the keys leaves the
+/// indices. Needs fewer than 2^32 partitions.
 void RankPartitions(const FloatMatrix& centroids, const float* query,
                     size_t visit, std::vector<float>* dist,
                     std::vector<size_t>* order);
@@ -248,6 +274,13 @@ Status FinalizeSearchResult(const StopController* stop, bool strict_deadline,
                             TopKHeap* heap, std::vector<Neighbor>* out,
                             SearchStats* stats, const QueryTrace* trace,
                             double wall_micros, double cpu_micros);
+
+/// The tail of a query rejected before it ran (untrained index, k or a
+/// search parameter out of range): resets `stats` (a local SearchStats
+/// when nullptr) so that it describes this query, which did no work and
+/// took no measured time, feeds it with `status` into the metrics
+/// registry like FinalizeSearchResult, and returns `status`.
+Status FinalizeRejectedQuery(Status status, SearchStats* stats);
 
 }  // namespace vaq
 

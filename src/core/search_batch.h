@@ -31,7 +31,8 @@ struct SearchPlan {
 
 /// The one query driver behind VaqIndex::Search and VaqIvfIndex::Search
 /// (the paper's Algorithm 4; check points in DESIGN.md §9). In order:
-///  1. rejects an untrained index and k outside [1, size];
+///  1. rejects an untrained index and k outside [1, size]
+///     (FinalizeRejectedQuery, so the rejection is counted);
 ///  2. resets `stats` (a local SearchStats when the caller passes
 ///     nullptr), so that it describes this query alone, and stamps the
 ///     plan into it (partitions_total, clusters_visited);
@@ -56,12 +57,17 @@ Status SearchQuery(const VaqEncoder& encoder, size_t size,
   WallTimer timer;
   CpuTimer cpu_timer(CpuTimer::Scope::kThread);
   if (!encoder.trained()) {
-    return Status::FailedPrecondition("index is not trained");
+    return FinalizeRejectedQuery(
+        Status::FailedPrecondition("index is not trained"), stats);
   }
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
+  if (k == 0) {
+    return FinalizeRejectedQuery(Status::InvalidArgument("k must be >= 1"),
+                                 stats);
+  }
   if (k > size) {
-    return Status::InvalidArgument("k exceeds the number of indexed "
-                                   "vectors");
+    return FinalizeRejectedQuery(
+        Status::InvalidArgument("k exceeds the number of indexed vectors"),
+        stats);
   }
   StopController stop_state(control.deadline, control.cancel_token);
   StopController* stop = stop_state.armed() ? &stop_state : nullptr;

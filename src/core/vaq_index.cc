@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/io.h"
 #include "common/log.h"
@@ -137,7 +138,9 @@ Status VaqIndex::ValidateSearchParams(const SearchParams& params) const {
 Status VaqIndex::Search(const float* query, const SearchParams& params,
                         SearchScratch* scratch, std::vector<Neighbor>* out,
                         SearchStats* stats) const {
-  VAQ_RETURN_IF_ERROR(ValidateSearchParams(params));
+  if (Status valid = ValidateSearchParams(params); !valid.ok()) {
+    return FinalizeRejectedQuery(std::move(valid), stats);
+  }
   const size_t m = num_subspaces();
   const size_t s_limit = params.num_subspaces_used == 0
                              ? m

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <vector>
 
+#include "common/io.h"
 #include "common/rng.h"
 
 namespace vaq {
@@ -183,6 +189,98 @@ TEST(CodebookErrorsTest, RejectsBadInputs) {
 
   ASSERT_TRUE(books.Train(data, *layout, {4, 4}, opts).ok());
   EXPECT_FALSE(books.Encode(RandomData(5, 9, 5)).ok());  // wrong width
+}
+
+// Hand-built dictionaries (loaded from a written payload, no k-means):
+// every dictionary size from 2 to 8192, widths 4 (the span-4 kernels) and
+// others, and repeated codewords, so ties occur.
+class CodebookKernelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const std::vector<size_t> widths = {4, 4, 4, 4, 3, 4, 5, 4};
+    const std::vector<int32_t> bits = {1, 2, 3, 8, 4, 13, 2, 5};
+    Rng rng(21);
+    std::stringstream payload;
+    WritePod<uint8_t>(payload, 1);
+    WritePod<uint64_t>(payload, widths.size());
+    size_t offset = 0;
+    for (size_t w : widths) {
+      WritePod<uint64_t>(payload, offset);
+      WritePod<uint64_t>(payload, w);
+      offset += w;
+    }
+    WriteVector(payload, bits);
+    for (size_t s = 0; s < widths.size(); ++s) {
+      FloatMatrix dict(size_t{1} << bits[s], widths[s]);
+      for (size_t c = 0; c < dict.rows(); ++c) {
+        if (c > 0 && rng.NextIndex(4) == 0) {
+          std::copy_n(dict.row(rng.NextIndex(c)), dict.cols(), dict.row(c));
+          continue;
+        }
+        for (size_t j = 0; j < dict.cols(); ++j) {
+          dict(c, j) = static_cast<float>(rng.Gaussian());
+        }
+      }
+      WriteMatrix(payload, dict);
+    }
+    ASSERT_TRUE(books_.Load(payload).ok());
+    ASSERT_TRUE(books_.ValidateInvariants().ok());
+
+    // Half the queries sit on a codeword of every subspace (distance-0
+    // ties with its repeats), half are random.
+    queries_ = RandomData(40, books_.dim(), 23);
+    for (size_t q = 0; q < queries_.rows(); q += 2) {
+      for (size_t s = 0; s < books_.num_subspaces(); ++s) {
+        const FloatMatrix& dict = books_.centroids(s);
+        std::copy_n(dict.row(rng.NextIndex(dict.rows())), dict.cols(),
+                    queries_.row(q) + books_.layout().span(s).offset);
+      }
+    }
+  }
+
+  VariableCodebooks books_;
+  FloatMatrix queries_;
+};
+
+TEST_F(CodebookKernelTest, LookupTableEntriesEqualSquaredL2) {
+  std::vector<float> lut;
+  for (size_t q = 0; q < queries_.rows(); ++q) {
+    books_.BuildLookupTable(queries_.row(q), &lut);
+    ASSERT_EQ(lut.size(), books_.lut_entries());
+    for (size_t s = 0; s < books_.num_subspaces(); ++s) {
+      const SubspaceSpan& span = books_.layout().span(s);
+      const FloatMatrix& dict = books_.centroids(s);
+      for (size_t c = 0; c < dict.rows(); ++c) {
+        const float want =
+            SquaredL2(queries_.row(q) + span.offset, dict.row(c), span.length);
+        ASSERT_EQ(std::bit_cast<uint32_t>(lut[books_.lut_offset(s) + c]),
+                  std::bit_cast<uint32_t>(want))
+            << "q=" << q << " s=" << s << " c=" << c;
+      }
+    }
+  }
+}
+
+TEST_F(CodebookKernelTest, EncodeRowPicksTheFirstNearestItem) {
+  std::vector<uint16_t> code(books_.num_subspaces());
+  for (size_t q = 0; q < queries_.rows(); ++q) {
+    books_.EncodeRow(queries_.row(q), code.data());
+    for (size_t s = 0; s < books_.num_subspaces(); ++s) {
+      const SubspaceSpan& span = books_.layout().span(s);
+      const FloatMatrix& dict = books_.centroids(s);
+      float best = std::numeric_limits<float>::max();
+      size_t want = 0;
+      for (size_t c = 0; c < dict.rows(); ++c) {
+        const float dist =
+            SquaredL2(queries_.row(q) + span.offset, dict.row(c), span.length);
+        if (dist < best) {
+          best = dist;
+          want = c;
+        }
+      }
+      ASSERT_EQ(code[s], want) << "q=" << q << " s=" << s;
+    }
+  }
 }
 
 TEST(CodebookDeterminismTest, SameSeedSameDictionaries) {

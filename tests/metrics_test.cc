@@ -521,6 +521,37 @@ TEST_F(SearchTelemetryTest, QueryWithoutStatsCountsItsWork) {
   EXPECT_EQ(rows->value(), before + queries.rows() * index_->size());
 }
 
+TEST_F(SearchTelemetryTest, RejectedQueriesAreCountedAsFailed) {
+  // A query rejected before it runs (k = 0 in the query driver; a
+  // visit_fraction outside (0, 1] in VaqIndex's parameter check) is still
+  // a query that returned a non-OK status.
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* queries = reg.GetCounter("vaq_queries_total", "");
+  Counter* failed = reg.GetCounter("vaq_queries_failed_total", "");
+  Histogram* wall = reg.GetHistogram("vaq_query_wall_us", "");
+  std::vector<Neighbor> result;
+  SearchStats stats;
+  stats.rows_scanned = 7;  // left over from an earlier query
+  SearchParams zero_k;
+  zero_k.k = 0;
+  SearchParams bad_fraction;
+  bad_fraction.k = 10;
+  bad_fraction.visit_fraction = 2.0;
+  for (const SearchParams& params : {zero_k, bad_fraction}) {
+    const uint64_t queries_before = queries->value();
+    const uint64_t failed_before = failed->value();
+    const uint64_t wall_before = wall->TotalCount();
+    const Status status =
+        index_->Search(base_->row(9), params, &result, &stats);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(queries->value(), queries_before + 1);
+    EXPECT_EQ(failed->value(), failed_before + 1);
+    EXPECT_EQ(wall->TotalCount(), wall_before + 1);
+    // The stats describe the rejected query, which did no work.
+    EXPECT_EQ(stats.rows_scanned, 0u);
+  }
+}
+
 // Captured log lines for the slow-query test (plain function pointer
 // sink => file-scope storage).
 std::mutex g_log_mu;

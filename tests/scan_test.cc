@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -242,6 +246,141 @@ TEST(KernelEquivalenceTest, ScalarAndSimdAgreeOnEaScanIncludingStats) {
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].id, b[i].id);
       EXPECT_EQ(a[i].distance, b[i].distance);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Span-4 codeword kernels (LUT build and encoding) and the partition
+// ranking, against SquaredL2 and partial_sort oracles, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// `count` row-major 4-wide Gaussian codewords in which about one row in
+/// four repeats an earlier row, so equal distances (ties) occur both
+/// within a SIMD lane and across lanes.
+std::vector<float> Span4Dictionary(size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> rows(4 * count);
+  for (float& v : rows) v = static_cast<float>(rng.Gaussian());
+  for (size_t c = 1; c < count; ++c) {
+    if (rng.NextIndex(4) != 0) continue;
+    const size_t from = rng.NextIndex(c);
+    std::copy_n(rows.begin() + 4 * from, 4, rows.begin() + 4 * c);
+  }
+  return rows;
+}
+
+/// The strict-< scan over SquaredL2 that VariableCodebooks::EncodeRow
+/// performs for every other width.
+uint32_t NearestBySquaredL2(const float* query, const float* rows,
+                            size_t count) {
+  float best = std::numeric_limits<float>::max();
+  uint32_t best_c = 0;
+  for (size_t c = 0; c < count; ++c) {
+    const float dist = SquaredL2(query, rows + 4 * c, 4);
+    if (dist < best) {
+      best = dist;
+      best_c = static_cast<uint32_t>(c);
+    }
+  }
+  return best_c;
+}
+
+TEST(Span4KernelTest, DistancesAndNearestMatchSquaredL2BitExactly) {
+  // Dictionary sizes 2^1..2^13 plus counts that are not multiples of 8.
+  const size_t counts[] = {1, 2, 3, 4, 7, 8, 9, 13, 16, 100, 256, 8192};
+  for (ScanKernelType type : BlockedKernels()) {
+    const ScanKernel& kernel = GetScanKernel(type);
+    for (size_t count : counts) {
+      const std::vector<float> rows = Span4Dictionary(count, 100 + count);
+      Rng rng(7 * count);
+      std::vector<float> out(count);
+      for (size_t q = 0; q < 24; ++q) {
+        float query[4];
+        if (q % 3 == 0) {
+          // On a (possibly repeated) codeword: a tie at distance 0.
+          std::copy_n(rows.begin() + 4 * rng.NextIndex(count), 4, query);
+        } else {
+          for (float& v : query) v = static_cast<float>(rng.Gaussian());
+        }
+        kernel.span4_distances(query, rows.data(), count, out.data());
+        for (size_t c = 0; c < count; ++c) {
+          const float want = SquaredL2(query, rows.data() + 4 * c, 4);
+          ASSERT_EQ(std::bit_cast<uint32_t>(out[c]),
+                    std::bit_cast<uint32_t>(want))
+              << kernel.name << " count=" << count << " c=" << c;
+        }
+        EXPECT_EQ(kernel.span4_nearest(query, rows.data(), count),
+                  NearestBySquaredL2(query, rows.data(), count))
+            << kernel.name << " count=" << count << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(Span4KernelTest, NearestKeepsCodeZeroWhenNoDistanceIsBelowFltMax) {
+  // Every squared distance overflows to +inf, so no strict < ever fires.
+  const std::vector<float> rows(4 * 20, 3e30f);
+  const float query[4] = {-3e30f, -3e30f, -3e30f, -3e30f};
+  for (ScanKernelType type : BlockedKernels()) {
+    const ScanKernel& kernel = GetScanKernel(type);
+    EXPECT_EQ(kernel.span4_nearest(query, rows.data(), 20), 0u)
+        << kernel.name;
+  }
+}
+
+/// The (distance, index) order RankPartitions promises, by partial_sort.
+std::vector<size_t> RankByPartialSort(const std::vector<float>& dist,
+                                      size_t visit) {
+  std::vector<size_t> order(dist.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::partial_sort(order.begin(), order.begin() + visit, order.end(),
+                    [&](size_t a, size_t b) {
+                      return dist[a] != dist[b] ? dist[a] < dist[b] : a < b;
+                    });
+  order.resize(visit);
+  return order;
+}
+
+TEST(RankPartitionsTest, MatchesPartialSortOracleWithDuplicateCentroids) {
+  const size_t n = 203;
+  const size_t dim = 6;
+  Rng rng(5);
+  FloatMatrix centroids(n, dim);
+  for (size_t p = 0; p < n; ++p) {
+    if (p > 0 && rng.NextIndex(3) == 0) {
+      // A duplicate centroid: the same distance under a larger index.
+      const size_t from = rng.NextIndex(p);
+      std::copy_n(centroids.row(from), dim, centroids.row(p));
+      continue;
+    }
+    for (size_t j = 0; j < dim; ++j) {
+      centroids(p, j) = static_cast<float>(rng.Gaussian());
+    }
+  }
+  std::vector<float> dist;
+  std::vector<size_t> order;
+  for (size_t q = 0; q < 8; ++q) {
+    std::vector<float> query(dim);
+    if (q % 2 == 0) {
+      std::copy_n(centroids.row(rng.NextIndex(n)), dim, query.begin());
+    } else {
+      for (float& v : query) v = static_cast<float>(rng.Gaussian());
+    }
+    for (size_t visit : {size_t{1}, n / 4, n}) {
+      RankPartitions(centroids, query.data(), visit, &dist, &order);
+      ASSERT_EQ(dist.size(), n);
+      ASSERT_EQ(order.size(), n);
+      for (size_t p = 0; p < n; ++p) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(dist[p]),
+                  std::bit_cast<uint32_t>(
+                      SquaredL2(query.data(), centroids.row(p), dim)));
+      }
+      const std::vector<size_t> want = RankByPartialSort(dist, visit);
+      for (size_t v = 0; v < visit; ++v) {
+        ASSERT_EQ(order[v], want[v]) << "q=" << q << " visit=" << visit
+                                     << " v=" << v;
+      }
     }
   }
 }
@@ -572,11 +711,19 @@ TEST(VaqIvfScanTest, BlockedKernelsMatchReferenceScan) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ScanSearchEquivalenceTest, ScratchReuseMakesSearchAllocationFree) {
-  for (SearchMode mode : {SearchMode::kHeap, SearchMode::kEarlyAbandon,
-                          SearchMode::kTriangleInequality}) {
+  // TI runs at one cluster, a quarter and all of them, so RankPartitions
+  // selects and sorts its keys in SearchScratch at every visit size.
+  const std::pair<SearchMode, double> runs[] = {
+      {SearchMode::kHeap, 1.0},
+      {SearchMode::kEarlyAbandon, 1.0},
+      {SearchMode::kTriangleInequality, 1e-6},
+      {SearchMode::kTriangleInequality, 0.25},
+      {SearchMode::kTriangleInequality, 1.0}};
+  for (const auto& [mode, visit_fraction] : runs) {
     SearchParams params;
     params.k = 20;
     params.mode = mode;
+    params.visit_fraction = visit_fraction;
     SearchScratch scratch;
     std::vector<Neighbor> out;
     SearchStats stats;
@@ -597,7 +744,42 @@ TEST_F(ScanSearchEquivalenceTest, ScratchReuseMakesSearchAllocationFree) {
     }
     EXPECT_EQ(AllocCount() - before, 0u)
         << "mode=" << static_cast<int>(mode)
+        << " visit_fraction=" << visit_fraction
         << ": steady-state Search allocated";
+  }
+}
+
+TEST(VaqIvfScanTest, ScratchReuseMakesSearchAllocationFree) {
+  const FloatMatrix data = GenerateSpectrumMixture(
+      900, 24, PowerLawSpectrum(24, 1.1), 6, 1.0, 31);
+  const FloatMatrix queries = GenerateSpectrumMixture(
+      8, 24, PowerLawSpectrum(24, 1.1), 6, 1.0, 131);
+  VaqIvfOptions opts;
+  opts.vaq.num_subspaces = 6;
+  opts.vaq.total_bits = 36;
+  opts.vaq.kmeans_iters = 8;
+  opts.coarse_k = 16;
+  auto index = VaqIvfIndex::Train(data, opts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  for (size_t nprobe : {size_t{1}, size_t{4}, size_t{16}}) {
+    SearchScratch scratch;
+    std::vector<Neighbor> out;
+    SearchStats stats;
+    for (size_t q = 0; q < 4; ++q) {
+      ASSERT_TRUE(index->Search(queries.row(q), 10, nprobe, QueryControl{},
+                                &scratch, &out, &stats)
+                      .ok());
+    }
+    const size_t before = AllocCount();
+    for (size_t rep = 0; rep < 3; ++rep) {
+      for (size_t q = 0; q < queries.rows(); ++q) {
+        ASSERT_TRUE(index->Search(queries.row(q), 10, nprobe, QueryControl{},
+                                  &scratch, &out, &stats)
+                        .ok());
+      }
+    }
+    EXPECT_EQ(AllocCount() - before, 0u)
+        << "nprobe=" << nprobe << ": steady-state IVF Search allocated";
   }
 }
 

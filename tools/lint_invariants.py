@@ -7,7 +7,9 @@ suite, the Status-not-abort API tests) into CI build failures:
 
   kernel-no-alloc      The block-scan kernels (ScalarAccumulate,
                        Avx2Accumulate, BlockedFullScan, BlockedEaScan in
-                       src/core/scan.cc / scan_avx2.cc) must not allocate:
+                       src/core/scan.cc / scan_avx2.cc) and the span-4
+                       LUT/encode kernels (Scalar/Avx2 Span4Distances and
+                       Span4Nearest) must not allocate:
                        no new/malloc, no container growth. The paper's
                        speed claims (Sec. III-E) rest on these loops
                        touching nothing but caller-owned buffers.
@@ -59,6 +61,10 @@ KERNEL_FUNCTIONS = {
     "Avx2Accumulate",
     "BlockedFullScan",
     "BlockedEaScan",
+    "ScalarSpan4Distances",
+    "ScalarSpan4Nearest",
+    "Avx2Span4Distances",
+    "Avx2Span4Nearest",
 }
 
 ENTRYPOINT_FILES = {
